@@ -46,8 +46,6 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     FitWindowError,
-    NumericsError,
-    QuenchSampleError,
     RingwalkError,
 )
 
@@ -73,9 +71,15 @@ def _sibling(path: Path, suffix: str) -> Path:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Replace ``path`` atomically: readers see the old file or the new one."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # a no-op once the replace has succeeded
 
 
 def _write_series_csv(path: Path, series: ObservableSeries, std=None) -> None:
@@ -170,16 +174,10 @@ def _as_number_list(params: dict, name: str, cast=int) -> list:
     return values
 
 
-def _load_coin(choice: str) -> np.ndarray:
-    if choice == "hadamard":
-        return HADAMARD
-    with open(choice, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
-
-
-def _load_initial_coin(choice: str) -> np.ndarray:
-    if choice == "plus-i":
-        return PLUS_I_COIN
+def _load_coin(choice: str, default: str) -> np.ndarray:
+    """The named default (``hadamard`` or ``plus-i``), or a JSON matrix file."""
+    if choice == default:
+        return {"hadamard": HADAMARD, "plus-i": PLUS_I_COIN}[default]
     with open(choice, "r", encoding="utf-8") as fh:
         return matrix_from_json(json.load(fh))
 
@@ -216,8 +214,8 @@ def cmd_simulate(args) -> int:
         raise ConfigurationError(f"--steps must be >= 1, got {steps}")
     if samples < 1:
         raise ConfigurationError(f"--samples must be >= 1, got {samples}")
-    coin = _load_coin(params["coin"])
-    initial_coin = _load_initial_coin(params["initial_coin"])
+    coin = _load_coin(params["coin"], "hadamard")
+    initial_coin = _load_coin(params["initial_coin"], "plus-i")
     model_kind = params["model"]
 
     extra = {}
@@ -469,9 +467,6 @@ def main(argv=None) -> int:
     except (ConfigurationError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, FitWindowError, NumericsError, QuenchSampleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except RingwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,9 +12,11 @@ own qubit and the branch gates ``G0``/``G1`` act only on the qubit of the
 currently occupied site, so the environment dimension is ``2**d_s``.
 
 Neither step operator ever materializes the full evolution matrix; one
-step costs O(d_s * d_e**2) (nonlocal) or O(d_s * 2**d_s) (local).
+step costs O(d_s * d_e**2) (nonlocal) or O(d_s * 2**d_s) (local), the latter
+one vectorized gather per branch with no Python loop over sites.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -254,6 +256,16 @@ def init_state(model: WalkModel) -> PureState:
     return PureState(model.d_s, model.d_e, tens.reshape(-1))
 
 
+def _shift(d_s: int, left: np.ndarray, right: np.ndarray) -> PureState:
+    """Shift the (site, env) amplitudes of branch 0 left and of branch 1 right."""
+    out = np.empty((d_s, 2, left.shape[1]), dtype=np.complex128)
+    out[:-1, 0, :] = left[1:]
+    out[-1, 0, :] = left[0]
+    out[1:, 1, :] = right[:-1]
+    out[0, 1, :] = right[-1]
+    return PureState(d_s, left.shape[1], out.reshape(-1))
+
+
 def step_nonlocal(
     state: PureState, coin: np.ndarray, e0: np.ndarray, e1: np.ndarray
 ) -> PureState:
@@ -261,31 +273,28 @@ def step_nonlocal(
 
     Coin flip per (site, environment) block, then the branch unitary on
     the environment, then the conditional cyclic shift (left for coin 0,
-    right for coin 1).  The shift is an index remap on the site axis.
+    right for coin 1).
     """
     d_e = state.d_e
     if e0.shape != (d_e, d_e) or e1.shape != (d_e, d_e):
         raise DimensionMismatchError(
             f"environment matrices must be {d_e}x{d_e}, got {e0.shape} and {e1.shape}"
         )
-    psi = state.tensor()
-    mixed = np.tensordot(coin, psi, axes=([1], [1]))  # (branch, site, env)
-    left = mixed[0] @ e0.T
-    right = mixed[1] @ e1.T
-    out = np.empty_like(psi)
-    out[:-1, 0, :] = left[1:]
-    out[-1, 0, :] = left[0]
-    out[1:, 1, :] = right[:-1]
-    out[0, 1, :] = right[-1]
-    return PureState(state.d_s, d_e, out.reshape(-1))
+    mixed = np.tensordot(coin, state.tensor(), axes=([1], [1]))  # (branch, site, env)
+    return _shift(state.d_s, mixed[0] @ e0.T, mixed[1] @ e1.T)
 
 
-def _apply_qubit_gate(vec: np.ndarray, gate: np.ndarray, qubit: int) -> np.ndarray:
-    # Bit `qubit` of the flat environment index addresses the target qubit.
-    low = 1 << qubit
-    v = vec.reshape(-1, 2, low)
-    w = np.tensordot(gate, v, axes=([1], [1]))
-    return w.transpose(1, 0, 2).reshape(-1)
+@functools.lru_cache(maxsize=LOCAL_SITE_LIMIT)
+def _local_gate_tables(d_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (d_s, 2**d_s) tables shared by all gates: ``bit[s, e]`` is bit s
+    of e and ``partner[s, e]`` the flat (site, env) index of (s, e ^ 2**s)."""
+    env = np.arange(1 << d_s)
+    sites = np.arange(d_s)[:, None]
+    bit = ((env >> sites) & 1).astype(bool)
+    partner = (env ^ (1 << sites)) + (sites << d_s)
+    bit.setflags(write=False)
+    partner.setflags(write=False)
+    return bit, partner
 
 
 def step_local(
@@ -293,9 +302,10 @@ def step_local(
 ) -> PureState:
     """One step of the local model.
 
-    After the coin flip, the branch gate acts only on the environment
-    qubit attached to the site the amplitude currently occupies (bit s of
-    the environment index is the qubit of site s), then the walker shifts.
+    After the coin flip, the branch gate acts only on the qubit of the
+    occupied site (bit s of the environment index is the qubit of site s),
+    all sites at once: ``v'[s, e] = g[b, b] v[s, e] + g[b, 1-b] v[s, e ^ 2**s]``
+    with b = bit s of e.  Then the walker shifts.
     """
     d_s, d_e = state.d_s, state.d_e
     if d_e != 1 << d_s:
@@ -304,27 +314,30 @@ def step_local(
         )
     if g0.shape != (2, 2) or g1.shape != (2, 2):
         raise DimensionMismatchError("local gates must be 2x2")
-    psi = state.tensor()
-    mixed = np.tensordot(coin, psi, axes=([1], [1]))
-    left = np.empty((d_s, d_e), dtype=np.complex128)
-    right = np.empty((d_s, d_e), dtype=np.complex128)
-    for s in range(d_s):
-        left[s] = _apply_qubit_gate(mixed[0, s], g0, s)
-        right[s] = _apply_qubit_gate(mixed[1, s], g1, s)
-    out = np.empty_like(psi)
-    out[:-1, 0, :] = left[1:]
-    out[-1, 0, :] = left[0]
-    out[1:, 1, :] = right[:-1]
-    out[0, 1, :] = right[-1]
-    return PureState(d_s, d_e, out.reshape(-1))
+    bit, partner = _local_gate_tables(d_s)
+    gates = np.stack((g0, g1))[:, :, :, None, None]  # (branch, row, col, 1, 1)
+    mixed = np.tensordot(coin, state.tensor(), axes=([1], [1]))  # (branch, site, env)
+    # In place: measured ~1.5x faster than the fused expression at d_s = 9.
+    out = np.where(bit, gates[:, 1, 1], gates[:, 0, 0])
+    out *= mixed
+    flipped = np.take(mixed.reshape(2, -1), partner, axis=1)
+    flipped *= np.where(bit, gates[:, 1, 0], gates[:, 0, 1])
+    out += flipped
+    return _shift(d_s, out[0], out[1])
+
+
+def _step_operator(model: WalkModel):
+    """The step function configured in ``model`` and its operands."""
+    env = model.environment
+    if isinstance(env, LocalEnvironment):
+        return step_local, (model.coin, env.g0, env.g1)
+    return step_nonlocal, (model.coin, env.e0, env.e1)
 
 
 def step(state: PureState, model: WalkModel) -> PureState:
     """Apply the step operator configured in ``model``."""
-    env = model.environment
-    if isinstance(env, LocalEnvironment):
-        return step_local(state, model.coin, env.g0, env.g1)
-    return step_nonlocal(state, model.coin, env.e0, env.e1)
+    kernel, operands = _step_operator(model)
+    return kernel(state, *operands)
 
 
 def evolve(model: WalkModel, steps: int, observer=None) -> PureState:
@@ -340,19 +353,11 @@ def evolve(model: WalkModel, steps: int, observer=None) -> PureState:
     state = init_state(model)
     if observer is not None:
         observer(0, state)
-    env = model.environment
-    if isinstance(env, LocalEnvironment):
-        coin, g0, g1 = model.coin, env.g0, env.g1
-        for t in range(1, steps + 1):
-            state = step_local(state, coin, g0, g1)
-            if observer is not None:
-                observer(t, state)
-    else:
-        coin, e0, e1 = model.coin, env.e0, env.e1
-        for t in range(1, steps + 1):
-            state = step_nonlocal(state, coin, e0, e1)
-            if observer is not None:
-                observer(t, state)
+    kernel, operands = _step_operator(model)
+    for t in range(1, steps + 1):
+        state = kernel(state, *operands)
+        if observer is not None:
+            observer(t, state)
     return state
 
 

@@ -73,3 +73,24 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 def spatial_distribution(vec: np.ndarray, d_s: int) -> np.ndarray:
     """Per-site probabilities of a flat (site, coin, env) vector."""
     return (np.abs(vec) ** 2).reshape(d_s, -1).sum(axis=1)
+
+
+def per_site_local_step(
+    d_s: int, coin: np.ndarray, g0: np.ndarray, g1: np.ndarray, vec: np.ndarray
+) -> np.ndarray:
+    """One local-model step applied to a flat (site, coin, env) vector, one
+    site at a time.
+
+    For site s the environment index splits as (slow bits, bit s, 2**s fast
+    bits), so the branch gate is a contraction over the middle axis.  Unlike
+    ``dense_local_step`` this needs only O(d_s * 2**d_s) memory, so it also
+    serves where the dense matrix is too large.
+    """
+    d_e = 1 << d_s
+    mixed = np.einsum("bc,sce->bse", coin, vec.reshape(d_s, 2, d_e))
+    out = np.empty((d_s, 2, d_e), dtype=np.complex128)
+    for branch, gate, move in ((0, g0, -1), (1, g1, 1)):
+        for s in range(d_s):
+            v = mixed[branch, s].reshape(-1, 2, 1 << s)
+            out[(s + move) % d_s, branch] = np.einsum("ij,ajb->aib", gate, v).reshape(-1)
+    return out.reshape(-1)

@@ -243,6 +243,39 @@ class TestConfigAndErrors:
         )
         assert code == 4
 
+    def test_failed_write_leaves_old_file_intact(self, tmp_path, monkeypatch):
+        target = tmp_path / "run.csv"
+        target.write_text("old contents\n")
+        real_open = open
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return HalfWriter(fh) if "w" in mode else fh
+
+        monkeypatch.setattr("ringwalk.cli.open", failing_open, raising=False)
+        code = run(
+            "simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2,
+            "--steps", 10, "--output", target,
+        )
+        assert code == 4
+        assert target.read_text() == "old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
     def test_argparse_usage_exits_two(self):
         with pytest.raises(SystemExit) as err:
             run("no-such-command")

@@ -22,9 +22,11 @@ from ringwalk import (
     walk_series,
     write_snapshot,
 )
+from ringwalk.core import _local_gate_tables
 from oracles import (
     dense_local_step,
     dense_nonlocal_step,
+    per_site_local_step,
     random_state_vector,
     spatial_distribution,
 )
@@ -48,6 +50,11 @@ def random_nonlocal_model(d_s, d_e, seed, **kwargs):
 
 def random_pure_state(d_s, d_e, rng):
     return PureState(d_s, d_e, random_state_vector(d_s * 2 * d_e, rng))
+
+
+def random_unitary(n, rng):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestPureState:
@@ -233,6 +240,41 @@ class TestDenseOracle:
             state = random_pure_state(d_s, 1 << d_s, rng)
             out = step(state, model)
             assert np.abs(out.amplitudes - dense @ state.amplitudes).max() < 1e-10
+            per_site = per_site_local_step(d_s, np.asarray(HADAMARD), g0, g1, state.amplitudes)
+            assert np.abs(per_site - dense @ state.amplitudes).max() < 1e-10
+
+
+class TestLocalKernel:
+    """The vectorized local step against the per-site reference, at sizes
+    where the dense oracle cannot be built."""
+
+    @pytest.mark.parametrize("d_s", [3, 9, 13])
+    def test_matches_per_site_oracle(self, d_s):
+        rng = rng_stream(43, d_s)
+        coin, g0, g1 = (random_unitary(2, rng) for _ in range(3))
+        state = random_pure_state(d_s, 1 << d_s, rng)
+        ref = state.amplitudes
+        for _ in range(20):
+            state = step_local(state, coin, g0, g1)
+            ref = per_site_local_step(d_s, coin, g0, g1, ref)
+            assert np.abs(state.amplitudes - ref).max() <= 1e-12
+
+    def test_tables_are_read_only_and_shared_across_gates(self):
+        d_s = 5
+        bit, partner = _local_gate_tables(d_s)
+        assert _local_gate_tables(d_s)[1] is partner
+        for table in (bit, partner):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+        # The cache is keyed on d_s only: models with other gates at the same
+        # d_s reuse the tables and still get their own dynamics.
+        rng = rng_stream(47)
+        state = random_pure_state(d_s, 1 << d_s, rng)
+        for _ in range(2):
+            g0, g1 = random_unitary(2, rng), random_unitary(2, rng)
+            out = step_local(state, np.asarray(HADAMARD), g0, g1)
+            ref = per_site_local_step(d_s, np.asarray(HADAMARD), g0, g1, state.amplitudes)
+            assert np.abs(out.amplitudes - ref).max() <= 1e-12
 
 
 class TestStepProperties:
@@ -313,6 +355,20 @@ class TestEvolve:
         model = random_nonlocal_model(5, 2, seed=31)
         final = evolve(model, 100_000)
         assert abs(final.norm() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("kind", ["local", "nonlocal"])
+    def test_equals_repeated_step(self, kind):
+        if kind == "local":
+            rng = rng_stream(53)
+            model = WalkModel(
+                d_s=5, environment=LocalEnvironment(random_unitary(2, rng), random_unitary(2, rng))
+            )
+        else:
+            model = random_nonlocal_model(7, 3, seed=53)
+        state = init_state(model)
+        for _ in range(25):
+            state = step(state, model)
+        assert np.array_equal(evolve(model, 25).amplitudes, state.amplitudes)
 
     def test_deterministic_series(self):
         model = random_nonlocal_model(9, 4, seed=41)
