@@ -26,7 +26,6 @@ from .analysis import (
     walk_series,
 )
 from .classical import (
-    classical_distance_series,
     classical_mixing_time,
     classical_series,
     classical_step,

@@ -44,26 +44,6 @@ def classical_step(p: np.ndarray) -> np.ndarray:
     return 0.5 * (np.roll(p, 1) + np.roll(p, -1))
 
 
-def classical_distance_series(d_s: int, s0: int, steps: int) -> np.ndarray:
-    """Total-variation distance to uniform at t = 0..steps, starting from
-    a walker localized at s0.  Equals the trace distance restricted to
-    diagonal states."""
-    _check_sites(d_s)
-    if not 0 <= s0 < d_s:
-        raise ConfigurationError(f"start site {s0} outside ring of {d_s} sites")
-    if steps < 0:
-        raise ConfigurationError(f"steps must be >= 0, got {steps}")
-    p = np.zeros(d_s)
-    p[s0] = 1.0
-    uniform = 1.0 / d_s
-    out = np.empty(steps + 1)
-    out[0] = 0.5 * np.abs(p - uniform).sum()
-    for t in range(1, steps + 1):
-        p = 0.5 * (np.roll(p, 1) + np.roll(p, -1))
-        out[t] = 0.5 * np.abs(p - uniform).sum()
-    return out
-
-
 def classical_series(d_s: int, s0: int, steps: int) -> ObservableSeries:
     """Distance and Shannon-entropy series in the quantum series format."""
     _check_sites(d_s)

@@ -6,6 +6,12 @@ dimension, with the classical reference appended), ``saturation-sweep``
 (plateau level vs. bath/lattice ratio plus the power-law fit) and
 ``classical`` (the reference walk alone).
 
+``COMMANDS`` is the one place where each subcommand's parameters are
+declared, with their types, defaults and help: the flags, the config-file
+keys and the manifest ``parameters`` block all come from it.  Each value
+is resolved as flag > config file > default and cast once, in
+``_merge_config``, before the handler runs.
+
 Series go to CSV (header ``t,d_omega,entropy`` plus ``d_omega_std`` for
 quench means, 17 significant digits, newline-terminated rows), fits and
 run manifests to JSON.  All randomness flows from ``--seed``: sweep point
@@ -38,7 +44,7 @@ from .analysis import (
     select_fit_window,
     walk_series,
 )
-from .classical import classical_mixing_time, classical_series
+from .classical import _check_sites, classical_mixing_time, classical_series
 from .core import HADAMARD, PLUS_I_COIN, LocalEnvironment, WalkModel
 from .envgen import GateAngles, make_local_gate, matrix_from_json
 from .errors import (
@@ -82,29 +88,38 @@ def _write_text(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)  # a no-op once the replace has succeeded
 
 
-def _write_series_csv(path: Path, series: ObservableSeries, std=None) -> None:
+def _series_csv(series: ObservableSeries, std=None) -> str:
     lines = ["t,d_omega,entropy" + (",d_omega_std" if std is not None else "")]
     for i in range(series.t.size):
         row = f"{int(series.t[i])},{_fmt(series.d_omega[i])},{_fmt(series.entropy[i])}"
         if std is not None:
             row += f",{_fmt(std[i])}"
         lines.append(row)
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_manifest(path: Path, command: str, params: dict, outputs: dict, extra=None) -> None:
+def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit_text=None) -> int:
+    """Write the CSV, its ``.fit.json`` if any, then its manifest; print the CSV path."""
+    csv_path = _resolve_output(args, name)
+    outputs = {"csv": csv_path}
+    _write_text(csv_path, csv_text)
+    if fit_text is not None:
+        outputs["fit"] = _sibling(csv_path, ".fit.json")
+        _write_text(outputs["fit"], fit_text)
     doc = {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "base_seed": params.get("seed"),
         "rng": "philox4x64 keyed by numpy SeedSequence(seed, spawn_key=(point, sample))",
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": {k: str(v) for k, v in outputs.items()},
+        **(extra or {}),
     }
-    if extra:
-        doc.update(extra)
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    manifest = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _write_text(_sibling(csv_path, ".manifest.json"), manifest)
+    print(csv_path)
+    return 0
 
 
 def _load_config(path: str) -> dict:
@@ -118,60 +133,58 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _merge_config(args, defaults: dict) -> dict:
-    """Resolve each parameter as flag > config file > hard default."""
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+_KINDS = {int: "an integer", float: "a number"}
+
+
+def _cast(name: str, cast, value):
+    """``cast(value)``; a one-element list cast like ``[int]`` reads a comma-separated
+    string (or a JSON list from a config file) into a non-empty list."""
+    flag = _flag(name)
+    if isinstance(cast, list):
+        if isinstance(value, str):
+            value = [part for part in value.split(",") if part.strip()]
+        try:
+            value = [cast[0](v) for v in value]
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"{flag} must be a comma-separated list") from None
+        if not value:
+            raise ConfigurationError(f"{flag} must not be empty")
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{flag} must be {_KINDS[cast]}") from None
+
+
+def _merge_config(args, spec: dict) -> dict:
+    """Resolve each parameter of ``spec`` as flag > config file > default and cast it.
+
+    A parameter with no default that is given nowhere stays ``None``.
+    """
     cfg = _load_config(args.config) if args.config else {}
-    unknown = set(cfg) - set(defaults)
+    unknown = set(cfg) - set(spec)
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     params = {}
-    for key, hard in defaults.items():
-        value = getattr(args, key, None)
+    for name, (cast, default, _) in spec.items():
+        value = getattr(args, name)
         if value is None:
-            value = cfg.get(key, hard)
-        params[key] = value
+            value = cfg.get(name, default)
+        if value is not None or default is not None:
+            value = _cast(name, cast, value)
+        params[name] = value
     return params
 
 
 def _require(params: dict, *names: str) -> None:
     missing = [n for n in names if params.get(n) is None]
     if missing:
-        flags = ", ".join("--" + n.replace("_", "-") for n in missing)
+        flags = ", ".join(_flag(n) for n in missing)
         raise ConfigurationError(f"missing required option(s): {flags}")
-
-
-def _as_int(params: dict, name: str) -> int:
-    try:
-        value = int(params[name])
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"--{name.replace('_', '-')} must be an integer") from None
-    params[name] = value
-    return value
-
-
-def _as_float(params: dict, name: str) -> float:
-    try:
-        value = float(params[name])
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"--{name.replace('_', '-')} must be a number") from None
-    params[name] = value
-    return value
-
-
-def _as_number_list(params: dict, name: str, cast=int) -> list:
-    raw = params[name]
-    if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part.strip()]
-    try:
-        values = [cast(v) for v in raw]
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"--{name.replace('_', '-')} must be a comma-separated list"
-        ) from None
-    if not values:
-        raise ConfigurationError(f"--{name.replace('_', '-')} must not be empty")
-    params[name] = values
-    return values
 
 
 def _load_coin(choice: str, default: str) -> np.ndarray:
@@ -182,123 +195,65 @@ def _load_coin(choice: str, default: str) -> np.ndarray:
         return matrix_from_json(json.load(fh))
 
 
-def _check_sites(n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ConfigurationError(f"--sites must be odd and >= 3, got {n}")
-
-
-def cmd_simulate(args) -> int:
-    defaults = {
-        "model": None,
-        "sites": None,
-        "env_dim": None,
-        "theta0": None,
-        "phi0": None,
-        "theta1": None,
-        "phi1": None,
-        "steps": None,
-        "seed": 0,
-        "spread": 1.0,
-        "coin": "hadamard",
-        "initial_coin": "plus-i",
-        "samples": 1,
-    }
-    params = _merge_config(args, defaults)
-    _require(params, "model", "sites", "steps")
-    sites = _as_int(params, "sites")
-    steps = _as_int(params, "steps")
-    seed = _as_int(params, "seed")
-    samples = _as_int(params, "samples")
+def cmd_simulate(args, p: dict) -> int:
+    _require(p, "model", "sites", "steps")
+    sites, steps, seed, samples = p["sites"], p["steps"], p["seed"], p["samples"]
     _check_sites(sites)
     if steps < 1:
         raise ConfigurationError(f"--steps must be >= 1, got {steps}")
     if samples < 1:
         raise ConfigurationError(f"--samples must be >= 1, got {samples}")
-    coin = _load_coin(params["coin"], "hadamard")
-    initial_coin = _load_coin(params["initial_coin"], "plus-i")
-    model_kind = params["model"]
+    coin = _load_coin(p["coin"], "hadamard")
+    initial_coin = _load_coin(p["initial_coin"], "plus-i")
 
     extra = {}
-    if model_kind == "nonlocal":
-        _require(params, "env_dim")
-        env_dim = _as_int(params, "env_dim")
-        spread = _as_float(params, "spread")
+    if p["model"] == "nonlocal":
+        _require(p, "env_dim")
         template = NonlocalTemplate(
-            d_s=sites, d_e=env_dim, spread=spread, coin=coin, initial_coin=initial_coin
+            d_s=sites, d_e=p["env_dim"], spread=p["spread"], coin=coin, initial_coin=initial_coin
         )
         result = quench_average(template, samples, seed, steps)
-        series = result.mean
-        std = result.d_omega_std if samples > 1 else None
+        text = _series_csv(result.mean, result.d_omega_std if samples > 1 else None)
         extra["sample_seed_paths"] = [[seed, k] for k in range(samples)]
-        name = f"simulate_nonlocal_s{sites}_e{env_dim}_t{steps}_k{samples}_seed{seed}.csv"
-    elif model_kind == "local":
-        _require(params, "theta0", "phi0", "theta1", "phi1")
+        name = f"simulate_nonlocal_s{sites}_e{p['env_dim']}_t{steps}_k{samples}_seed{seed}.csv"
+    elif p["model"] == "local":
+        _require(p, "theta0", "phi0", "theta1", "phi1")
         if samples != 1:
             raise ConfigurationError(
                 "the local model has no environment sampling; --samples must be 1"
             )
-        angles0 = GateAngles(_as_float(params, "theta0"), _as_float(params, "phi0"))
-        angles1 = GateAngles(_as_float(params, "theta1"), _as_float(params, "phi1"))
-        env = LocalEnvironment(make_local_gate(angles0), make_local_gate(angles1))
+        gates = [make_local_gate(GateAngles(p[f"theta{b}"], p[f"phi{b}"])) for b in (0, 1)]
         model = WalkModel(
-            d_s=sites, environment=env, coin=coin, initial_coin=initial_coin, seed=seed
+            d_s=sites, environment=LocalEnvironment(*gates), coin=coin,
+            initial_coin=initial_coin, seed=seed,
         )
-        series = walk_series(model, steps)
-        std = None
+        text = _series_csv(walk_series(model, steps))
         name = f"simulate_local_s{sites}_t{steps}_seed{seed}.csv"
     else:
-        raise ConfigurationError(f"--model must be 'nonlocal' or 'local', got {model_kind!r}")
-
-    csv_path = _resolve_output(args, name)
-    manifest_path = _sibling(csv_path, ".manifest.json")
-    _write_series_csv(csv_path, series, std)
-    _write_manifest(manifest_path, "simulate", params, {"csv": csv_path}, extra)
-    print(csv_path)
-    return 0
+        raise ConfigurationError(f"--model must be 'nonlocal' or 'local', got {p['model']!r}")
+    return _finish(args, p, name, text, extra)
 
 
-def cmd_classical(args) -> int:
-    defaults = {"sites": None, "steps": None}
-    params = _merge_config(args, defaults)
-    _require(params, "sites", "steps")
-    sites = _as_int(params, "sites")
-    steps = _as_int(params, "steps")
+def cmd_classical(args, p: dict) -> int:
+    _require(p, "sites", "steps")
+    sites, steps = p["sites"], p["steps"]
     _check_sites(sites)
     if steps < 1:
         raise ConfigurationError(f"--steps must be >= 1, got {steps}")
-    series = classical_series(sites, 0, steps)
-    csv_path = _resolve_output(args, f"classical_s{sites}_t{steps}.csv")
-    manifest_path = _sibling(csv_path, ".manifest.json")
-    _write_series_csv(csv_path, series)
-    _write_manifest(manifest_path, "classical", params, {"csv": csv_path})
-    print(csv_path)
-    return 0
+    text = _series_csv(classical_series(sites, 0, steps))
+    return _finish(args, p, f"classical_s{sites}_t{steps}.csv", text)
 
 
-def cmd_mixing_sweep(args) -> int:
-    defaults = {
-        "sites": None,
-        "env_dims": None,
-        "samples": 30,
-        "steps": None,
-        "seed": 0,
-        "spread": 1.0,
-    }
-    params = _merge_config(args, defaults)
-    _require(params, "sites", "env_dims", "steps")
-    sites = _as_int(params, "sites")
-    steps = _as_int(params, "steps")
-    seed = _as_int(params, "seed")
-    samples = _as_int(params, "samples")
-    spread = _as_float(params, "spread")
-    env_dims = _as_number_list(params, "env_dims", int)
+def cmd_mixing_sweep(args, p: dict) -> int:
+    _require(p, "sites", "env_dims", "steps")
+    sites, seed = p["sites"], p["seed"]
     _check_sites(sites)
 
     rows = ["d_b,tau_mix,tau_err"]
     point_log = []
-    for j, d_e in enumerate(env_dims):
-        template = NonlocalTemplate(d_s=sites, d_e=d_e, spread=spread)
-        result = quench_average(template, samples, (seed, j), steps)
+    for j, d_e in enumerate(p["env_dims"]):
+        template = NonlocalTemplate(d_s=sites, d_e=d_e, spread=p["spread"])
+        result = quench_average(template, p["samples"], (seed, j), p["steps"])
         try:
             window = select_fit_window(result.mean)
             fit = fit_exponential_mixing(result.mean, window)
@@ -312,10 +267,6 @@ def cmd_mixing_sweep(args) -> int:
 
     fit_cl, spectral = classical_mixing_time(sites)
     rows.append(f"inf,{_fmt(fit_cl.params['tau_mix'])},{_fmt(fit_cl.std_errors['tau_mix'])}")
-
-    csv_path = _resolve_output(args, f"mixing_s{sites}_seed{seed}.csv")
-    manifest_path = _sibling(csv_path, ".manifest.json")
-    _write_text(csv_path, "\n".join(rows) + "\n")
     extra = {
         "points": point_log,
         "classical": {
@@ -324,45 +275,27 @@ def cmd_mixing_sweep(args) -> int:
             "tau_spectral": spectral,
         },
     }
-    _write_manifest(manifest_path, "mixing-sweep", params, {"csv": csv_path}, extra)
-    print(csv_path)
-    return 0
+    return _finish(args, p, f"mixing_s{sites}_seed{seed}.csv", "\n".join(rows) + "\n", extra)
 
 
-def cmd_saturation_sweep(args) -> int:
-    defaults = {
-        "sites_list": None,
-        "ratios": None,
-        "env_dims": None,
-        "samples": 10,
-        "steps": None,
-        "seed": 0,
-        "spread": 1.0,
-    }
-    params = _merge_config(args, defaults)
-    _require(params, "sites_list", "steps")
-    if params["ratios"] is None and params["env_dims"] is None:
-        raise ConfigurationError("one of --ratios or --env-dims is required")
-    sites_list = _as_number_list(params, "sites_list", int)
-    steps = _as_int(params, "steps")
-    seed = _as_int(params, "seed")
-    samples = _as_int(params, "samples")
-    spread = _as_float(params, "spread")
+def cmd_saturation_sweep(args, p: dict) -> int:
+    _require(p, "sites_list", "steps")
+    if (p["ratios"] is None) == (p["env_dims"] is None):
+        raise ConfigurationError("exactly one of --ratios or --env-dims is required")
+    sites_list = p["sites_list"]
     for d_s in sites_list:
         _check_sites(d_s)
-    if params["ratios"] is not None:
-        ratios = _as_number_list(params, "ratios", float)
-        grid = [(d_s, max(1, round(r * d_s / 2.0))) for d_s in sites_list for r in ratios]
+    if p["ratios"] is not None:
+        grid = [(d_s, max(1, round(r * d_s / 2.0))) for d_s in sites_list for r in p["ratios"]]
     else:
-        env_dims = _as_number_list(params, "env_dims", int)
-        grid = [(d_s, d_e) for d_s in sites_list for d_e in env_dims]
+        grid = [(d_s, d_e) for d_s in sites_list for d_e in p["env_dims"]]
 
     rows = ["d_s,d_b,ratio,mean_d,std_d"]
     fit_points = []
     point_log = []
     for j, (d_s, d_e) in enumerate(grid):
-        template = NonlocalTemplate(d_s=d_s, d_e=d_e, spread=spread)
-        result = quench_average(template, samples, (seed, j), steps)
+        template = NonlocalTemplate(d_s=d_s, d_e=d_e, spread=p["spread"])
+        result = quench_average(template, p["samples"], (p["seed"], j), p["steps"])
         summary = plateau_summary(result)
         d_b = 2 * d_e
         ratio = d_b / d_s
@@ -373,30 +306,55 @@ def cmd_saturation_sweep(args) -> int:
         if d_b > d_s:
             fit_points.append((ratio, summary.d_omega_mean))
 
-    csv_path = _resolve_output(args, f"saturation_seed{seed}.csv")
-    manifest_path = _sibling(csv_path, ".manifest.json")
-    fit_path = _sibling(csv_path, ".fit.json")
-    _write_text(csv_path, "\n".join(rows) + "\n")
-
-    outputs = {"csv": csv_path}
-    extra = {"points": point_log}
+    fit_text = None
     if len(fit_points) >= 4:
-        fit = fit_power_law(fit_points)
-        provenance = {
-            "command": "saturation-sweep",
-            "parameters": params,
-            "version": __version__,
-        }
-        _write_text(fit_path, json.dumps(fit.to_json(provenance), indent=2, sort_keys=True) + "\n")
-        outputs["fit"] = fit_path
+        provenance = {"command": "saturation-sweep", "parameters": p, "version": __version__}
+        fit = fit_power_law(fit_points).to_json(provenance)
+        fit_text = json.dumps(fit, indent=2, sort_keys=True) + "\n"
     else:
         print(
             f"warning: only {len(fit_points)} points with d_b > d_s, power-law fit skipped",
             file=sys.stderr,
         )
-    _write_manifest(manifest_path, "saturation-sweep", params, outputs, extra)
-    print(csv_path)
-    return 0
+    name = f"saturation_seed{p['seed']}.csv"
+    return _finish(args, p, name, "\n".join(rows) + "\n", {"points": point_log}, fit_text)
+
+
+# Per subcommand: (handler, help, {parameter: (cast, default, help)}).  A cast is
+# int, float, str, or [int] / [float] for a comma-separated list.
+_RUN = {"steps": (int, None, None), "seed": (int, 0, None), "spread": (float, 1.0, None)}
+COMMANDS = {
+    "simulate": (cmd_simulate, "single-configuration series, optionally quench-averaged", {
+        "model": (str, None, None),
+        "sites": (int, None, None),
+        "env_dim": (int, None, None),
+        "theta0": (float, None, None),
+        "phi0": (float, None, None),
+        "theta1": (float, None, None),
+        "phi1": (float, None, None),
+        **_RUN,
+        "coin": (str, "hadamard", "'hadamard' or a JSON matrix file"),
+        "initial_coin": (str, "plus-i", "'plus-i' or a JSON vector file"),
+        "samples": (int, 1, None),
+    }),
+    "mixing-sweep": (cmd_mixing_sweep, "mixing time vs bath dimension", {
+        "sites": (int, None, None),
+        "env_dims": ([int], None, "comma-separated environment dimensions"),
+        "samples": (int, 30, None),
+        **_RUN,
+    }),
+    "saturation-sweep": (cmd_saturation_sweep, "plateau level vs bath/lattice ratio", {
+        "sites_list": ([int], None, "comma-separated odd site counts"),
+        "ratios": ([float], None, "comma-separated bath/lattice ratios"),
+        "env_dims": ([int], None, "comma-separated environment dimensions"),
+        "samples": (int, 10, None),
+        **_RUN,
+    }),
+    "classical": (cmd_classical, "classical reference walk", {
+        "sites": (int, None, None),
+        "steps": (int, None, None),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,64 +364,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ringwalk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (_, help_text, spec) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, (cast, _, flag_help) in spec.items():
+            # Lists stay strings here; _merge_config splits them.
+            flag_type = None if isinstance(cast, list) else cast
+            p.add_argument(_flag(name), dest=name, type=flag_type, help=flag_help)
         p.add_argument("--config", help="JSON file mirroring the flags (flags override it)")
         p.add_argument("--output", help="CSV output path (default: derived name in "
                                         f"${OUTDIR_ENV_VAR} or the working directory)")
-
-    p = sub.add_parser("simulate", help="single-configuration series, optionally quench-averaged")
-    p.add_argument("--model", choices=["nonlocal", "local"])
-    p.add_argument("--sites", type=int)
-    p.add_argument("--env-dim", type=int, dest="env_dim")
-    p.add_argument("--theta0", type=float)
-    p.add_argument("--phi0", type=float)
-    p.add_argument("--theta1", type=float)
-    p.add_argument("--phi1", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--spread", type=float)
-    p.add_argument("--coin", help="'hadamard' or a JSON matrix file")
-    p.add_argument("--initial-coin", dest="initial_coin", help="'plus-i' or a JSON vector file")
-    p.add_argument("--samples", type=int)
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("mixing-sweep", help="mixing time vs bath dimension")
-    p.add_argument("--sites", type=int)
-    p.add_argument("--env-dims", dest="env_dims", help="comma-separated environment dimensions")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--spread", type=float)
-    add_common(p)
-    p.set_defaults(func=cmd_mixing_sweep)
-
-    p = sub.add_parser("saturation-sweep", help="plateau level vs bath/lattice ratio")
-    p.add_argument("--sites-list", dest="sites_list", help="comma-separated odd site counts")
-    p.add_argument("--ratios", help="comma-separated bath/lattice ratios")
-    p.add_argument("--env-dims", dest="env_dims", help="comma-separated environment dimensions")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--spread", type=float)
-    add_common(p)
-    p.set_defaults(func=cmd_saturation_sweep)
-
-    p = sub.add_parser("classical", help="classical reference walk")
-    p.add_argument("--sites", type=int)
-    p.add_argument("--steps", type=int)
-    add_common(p)
-    p.set_defaults(func=cmd_classical)
-
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler, _, spec = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(args, _merge_config(args, spec))
     except (ConfigurationError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

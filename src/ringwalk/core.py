@@ -266,6 +266,11 @@ def _shift(d_s: int, left: np.ndarray, right: np.ndarray) -> PureState:
     return PureState(d_s, left.shape[1], out.reshape(-1))
 
 
+def _coin_flip(coin: np.ndarray, state: PureState) -> np.ndarray:
+    """The coin applied per (site, env) block, as a (branch, site, env) view."""
+    return (coin @ state.tensor()).transpose(1, 0, 2)
+
+
 def step_nonlocal(
     state: PureState, coin: np.ndarray, e0: np.ndarray, e1: np.ndarray
 ) -> PureState:
@@ -280,7 +285,7 @@ def step_nonlocal(
         raise DimensionMismatchError(
             f"environment matrices must be {d_e}x{d_e}, got {e0.shape} and {e1.shape}"
         )
-    mixed = np.tensordot(coin, state.tensor(), axes=([1], [1]))  # (branch, site, env)
+    mixed = _coin_flip(coin, state)
     return _shift(state.d_s, mixed[0] @ e0.T, mixed[1] @ e1.T)
 
 
@@ -316,7 +321,7 @@ def step_local(
         raise DimensionMismatchError("local gates must be 2x2")
     bit, partner = _local_gate_tables(d_s)
     gates = np.stack((g0, g1))[:, :, :, None, None]  # (branch, row, col, 1, 1)
-    mixed = np.tensordot(coin, state.tensor(), axes=([1], [1]))  # (branch, site, env)
+    mixed = np.ascontiguousarray(_coin_flip(coin, state))
     # In place: measured ~1.5x faster than the fused expression at d_s = 9.
     out = np.where(bit, gates[:, 1, 1], gates[:, 0, 0])
     out *= mixed

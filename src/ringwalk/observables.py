@@ -7,11 +7,11 @@ reference value for the long-time entropy plateau.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PureState, WalkModel, step
+from .core import PureState, WalkModel, evolve
 from .envgen import matrix_to_json
 from .errors import DimensionMismatchError, DomainError, NumericsError
 
@@ -109,9 +109,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
         raise NumericsError(
             f"density matrix has eigenvalue {eigvals[0]:.3e} below {_EIG_HARD_FLOOR:g}"
         )
-    lam = np.clip(eigvals, 0.0, 1.0)
-    lam = lam[lam > 0.0]
-    return float(-(lam * np.log(lam)).sum())
+    return _spectrum_entropy(np.clip(eigvals, 0.0, 1.0))
 
 
 def position_mixedness(state: PureState) -> tuple[float, float]:
@@ -129,9 +127,13 @@ def position_mixedness(state: PureState) -> tuple[float, float]:
             f"position reduction has eigenvalue {eigvals[0]:.3e} below {_EIG_HARD_FLOOR:g}"
         )
     dist = float(0.5 * np.abs(eigvals - 1.0 / state.d_s).sum())
-    lam = np.clip(eigvals, 0.0, 1.0)
-    lam = lam[lam > 0.0]
-    return dist, float(-(lam * np.log(lam)).sum())
+    return dist, _spectrum_entropy(np.clip(eigvals, 0.0, 1.0))
+
+
+def _spectrum_entropy(p: np.ndarray) -> float:
+    """-sum p ln p over the positive entries of ``p`` (0 ln 0 := 0)."""
+    pos = p[p > 0.0]
+    return float(-(pos * np.log(pos)).sum())
 
 
 def shannon_entropy(p: np.ndarray) -> float:
@@ -139,16 +141,15 @@ def shannon_entropy(p: np.ndarray) -> float:
     p = np.asarray(p, dtype=np.float64)
     if p.size and p.min() < -1e-12:
         raise DomainError(f"probabilities must be nonnegative, min {p.min():.3e}")
-    pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    return _spectrum_entropy(p)
 
 
 def kraus_generators(model: WalkModel, t: int) -> list[np.ndarray]:
     """Kraus form of the t-step channel on the position-coin factor.
 
-    Column j (= 2*s + c) of each operator is obtained by evolving the
-    corresponding basis vector tensored with the initial environment for
-    t steps and projecting on environment basis state e.  The list is
+    Column j (= 2*s + c) of each operator is obtained by evolving ``model``
+    from site s and coin basis state c (the initial environment unchanged)
+    for t steps and projecting on environment basis state e.  The list is
     ordered by e and satisfies sum_e X_e^dag X_e = identity up to
     numerical error.
     """
@@ -161,16 +162,11 @@ def kraus_generators(model: WalkModel, t: int) -> list[np.ndarray]:
             f"dense extraction limited to total dimension {KRAUS_DIM_LIMIT}, "
             f"got {d_sc * d_e}"
         )
-    env0 = model.environment_state()
     blocks = np.empty((d_sc, d_sc, d_e), dtype=np.complex128)
     for j in range(d_sc):
         s, c = divmod(j, 2)
-        tens = np.zeros((model.d_s, 2, d_e), dtype=np.complex128)
-        tens[s, c, :] = env0
-        st = PureState(model.d_s, d_e, tens.reshape(-1))
-        for _ in range(t):
-            st = step(st, model)
-        blocks[j] = st.amplitudes.reshape(d_sc, d_e)
+        column = replace(model, initial_site=s, initial_coin=np.eye(2)[c])
+        blocks[j] = evolve(column, t).amplitudes.reshape(d_sc, d_e)
     return [np.ascontiguousarray(blocks[:, :, e].T) for e in range(d_e)]
 
 

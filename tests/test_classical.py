@@ -6,7 +6,6 @@ import pytest
 from ringwalk import (
     ConfigurationError,
     DomainError,
-    classical_distance_series,
     classical_mixing_time,
     classical_series,
     classical_step,
@@ -46,16 +45,16 @@ class TestClassicalStep:
 class TestDistanceSeries:
     def test_initial_distance(self):
         for d_s in (3, 11, 51):
-            series = classical_distance_series(d_s, 0, 5)
+            series = classical_series(d_s, 0, 5).d_omega
             assert series[0] == pytest.approx((d_s - 1) / d_s, abs=1e-14)
 
     def test_one_step_total_variation(self):
-        series = classical_distance_series(3, 0, 1)
+        series = classical_series(3, 0, 1).d_omega
         assert series[1] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     @pytest.mark.parametrize("d_s", [3, 5, 11, 25, 51])
     def test_monotone_non_increasing(self, d_s):
-        series = classical_distance_series(d_s, 0, 10_000)
+        series = classical_series(d_s, 0, 10_000).d_omega
         assert (np.diff(series) <= 1e-15).all()
 
     def test_matches_transition_matrix_powers(self):
@@ -63,7 +62,7 @@ class TestDistanceSeries:
             m = classical_transition_matrix(d_s)
             p = np.zeros(d_s)
             p[0] = 1.0
-            series = classical_distance_series(d_s, 0, 100)
+            series = classical_series(d_s, 0, 100).d_omega
             for t in range(101):
                 expected = 0.5 * np.abs(p - 1.0 / d_s).sum()
                 assert abs(series[t] - expected) < 1e-12
@@ -73,7 +72,7 @@ class TestDistanceSeries:
         # Late-time ratio approaches the subdominant eigenvalue magnitude;
         # probe while the distance is still far above the rounding floor.
         for d_s, t in ((5, 40), (11, 320)):
-            series = classical_distance_series(d_s, 0, t)
+            series = classical_series(d_s, 0, t).d_omega
             ratio = series[t] / series[t - 1]
             assert ratio == pytest.approx(math.cos(math.pi / d_s), abs=1e-9)
 

@@ -109,19 +109,6 @@ class TestSimulate:
         assert run(*args, "--output", b) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_manifest_reexecution_round_trip(self, tmp_path):
-        first = tmp_path / "first.csv"
-        run(
-            "simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2,
-            "--steps", 50, "--samples", 2, "--seed", 6, "--output", first,
-        )
-        second = tmp_path / "second.csv"
-        code = run(
-            "simulate", "--config", tmp_path / "first.manifest.json", "--output", second
-        )
-        assert code == 0
-        assert second.read_bytes() == first.read_bytes()
-
 
 class TestClassicalCommand:
     def test_small_ring_values(self, tmp_path):
@@ -179,6 +166,15 @@ class TestSaturationSweep:
         assert np.isfinite(fit["params"]["x"])
         assert fit["provenance"]["parameters"]["sites_list"] == [5, 7]
 
+    def test_ratios_and_env_dims_together_rejected(self, tmp_path, capsys):
+        code = run(
+            "saturation-sweep", "--sites-list", "5", "--ratios", "2", "--env-dims", "4",
+            "--samples", 2, "--steps", 50, "--output", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert "--ratios or --env-dims" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_fit_skipped_with_too_few_points(self, tmp_path, capsys):
         out = tmp_path / "sat2.csv"
         code = run(
@@ -211,6 +207,47 @@ class TestConfigAndErrors:
         assert run("simulate", "--config", cfg, "--steps", 60, "--output", out) == 0
         _, rows = read_rows(out)
         assert len(rows) == 61
+
+    @pytest.mark.parametrize("argv, lists", [
+        pytest.param(("simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2,
+                      "--steps", 50, "--samples", 2, "--seed", 6), {}, id="simulate"),
+        pytest.param(("mixing-sweep", "--sites", 5, "--env-dims", "2,4", "--samples", 2,
+                      "--steps", 120, "--seed", 3), {"env_dims": [2, 4]}, id="mixing-sweep"),
+        pytest.param(("saturation-sweep", "--sites-list", "5,7", "--ratios", "2,4",
+                      "--samples", 2, "--steps", 100, "--seed", 5),
+                     {"sites_list": [5, 7], "ratios": [2.0, 4.0]}, id="saturation-sweep"),
+        pytest.param(("classical", "--sites", 7, "--steps", 40), {}, id="classical"),
+    ])
+    def test_manifest_reexecution_round_trip(self, tmp_path, argv, lists):
+        first = tmp_path / "first.csv"
+        assert run(*argv, "--output", first) == 0
+        manifest = json.loads((tmp_path / "first.manifest.json").read_text())
+        for name, values in lists.items():
+            assert manifest["parameters"][name] == values  # JSON lists, not strings
+        second = tmp_path / "second.csv"
+        code = run(argv[0], "--config", tmp_path / "first.manifest.json", "--output", second)
+        assert code == 0
+        assert second.read_bytes() == first.read_bytes()
+        if argv[0] == "saturation-sweep":
+            fit = (tmp_path / "first.fit.json").read_bytes()
+            assert (tmp_path / "second.fit.json").read_bytes() == fit
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        pytest.param("simulate", {"model": "nonlocal", "sites": "abc", "env_dim": 2, "steps": 5},
+                     "--sites must be an integer", id="int"),
+        pytest.param("simulate", {"model": "nonlocal", "sites": 5, "env_dim": 2, "steps": 5,
+                                  "spread": "wide"}, "--spread must be a number", id="float"),
+        pytest.param("mixing-sweep", {"sites": 5, "env_dims": "4,x", "steps": 5},
+                     "--env-dims must be a comma-separated list", id="list"),
+        pytest.param("saturation-sweep", {"sites_list": [], "ratios": [2], "steps": 5},
+                     "--sites-list must not be empty", id="empty-list"),
+    ])
+    def test_wrongly_typed_config_value(self, tmp_path, capsys, command, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(command, "--config", path, "--output", tmp_path / "x.csv") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
