@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HADAMARD, PLUS_I_COIN, NonlocalEnvironment, WalkModel, evolve
+from .core import HADAMARD, PLUS_I_COIN, NonlocalEnvironment, WalkModel, _check_steps, evolve
 from .envgen import rng_stream, sample_environment_pair
 from .errors import (
     ConfigurationError,
@@ -76,6 +76,7 @@ class FitResult:
 
 def walk_series(model: WalkModel, steps: int) -> ObservableSeries:
     """Evolve and record distance-to-uniform and entropy at every step."""
+    _check_steps(steps)
     n = steps + 1
     d_omega = np.empty(n, dtype=np.float64)
     entropy = np.empty(n, dtype=np.float64)
@@ -285,9 +286,8 @@ def quench_average(
             series = walk_series(model, steps)
         except Exception as exc:
             raise QuenchSampleError(k, str(exc)) from exc
-        meta = dict(series.metadata)
-        meta["seed_path"] = list(path) + [k]
-        samples.append(ObservableSeries(series.t, series.d_omega, series.entropy, meta))
+        series.metadata["seed_path"] = list(path) + [k]
+        samples.append(series)
 
     d_stack = np.stack([s.d_omega for s in samples])
     h_stack = np.stack([s.entropy for s in samples])

@@ -17,13 +17,9 @@ from .analysis import (
     fit_exponential_mixing,
     select_fit_window,
 )
+from .core import _check_sites, _check_steps
 from .errors import ConfigurationError, DomainError
 from .observables import shannon_entropy
-
-
-def _check_sites(d_s: int) -> None:
-    if d_s < 3 or d_s % 2 == 0:
-        raise ConfigurationError(f"site count must be odd and >= 3, got {d_s}")
 
 
 def _check_probability(p: np.ndarray) -> np.ndarray:
@@ -49,8 +45,7 @@ def classical_series(d_s: int, s0: int, steps: int) -> ObservableSeries:
     _check_sites(d_s)
     if not 0 <= s0 < d_s:
         raise ConfigurationError(f"start site {s0} outside ring of {d_s} sites")
-    if steps < 0:
-        raise ConfigurationError(f"steps must be >= 0, got {steps}")
+    _check_steps(steps)
     p = np.zeros(d_s)
     p[s0] = 1.0
     uniform = 1.0 / d_s

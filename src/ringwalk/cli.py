@@ -44,8 +44,15 @@ from .analysis import (
     select_fit_window,
     walk_series,
 )
-from .classical import _check_sites, classical_mixing_time, classical_series
-from .core import HADAMARD, PLUS_I_COIN, LocalEnvironment, WalkModel
+from .classical import classical_mixing_time, classical_series
+from .core import (
+    HADAMARD,
+    PLUS_I_COIN,
+    LocalEnvironment,
+    NonlocalEnvironment,
+    WalkModel,
+    _check_sites,
+)
 from .envgen import GateAngles, make_local_gate, matrix_from_json
 from .errors import (
     ConfigurationError,
@@ -122,9 +129,17 @@ def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit_text=N
     return 0
 
 
-def _load_config(path: str) -> dict:
+def _read_json(path: str):
+    """The JSON document in ``path``; malformed JSON is a configuration error."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _load_config(path: str) -> dict:
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config {path} must contain a JSON object")
     # A run manifest is accepted directly: its parameters block mirrors the flags.
@@ -140,6 +155,16 @@ def _flag(name: str) -> str:
 _KINDS = {int: "an integer", float: "a number"}
 
 
+def _cast_one(cast, value):
+    """``cast(value)``, except that a bool is no number and a fractional number
+    no integer: a config value is never truncated."""
+    if cast in _KINDS and isinstance(value, bool):
+        raise TypeError(value)
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return cast(value)
+
+
 def _cast(name: str, cast, value):
     """``cast(value)``; a one-element list cast like ``[int]`` reads a comma-separated
     string (or a JSON list from a config file) into a non-empty list."""
@@ -148,14 +173,14 @@ def _cast(name: str, cast, value):
         if isinstance(value, str):
             value = [part for part in value.split(",") if part.strip()]
         try:
-            value = [cast[0](v) for v in value]
+            value = [_cast_one(cast[0], v) for v in value]
         except (TypeError, ValueError):
             raise ConfigurationError(f"{flag} must be a comma-separated list") from None
         if not value:
             raise ConfigurationError(f"{flag} must not be empty")
         return value
     try:
-        return cast(value)
+        return _cast_one(cast, value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{flag} must be {_KINDS[cast]}") from None
 
@@ -177,6 +202,9 @@ def _merge_config(args, spec: dict) -> dict:
         if value is not None or default is not None:
             value = _cast(name, cast, value)
         params[name] = value
+    # Every command declares --steps.
+    if params["steps"] is not None and params["steps"] < 1:
+        raise ConfigurationError(f"--steps must be >= 1, got {params['steps']}")
     return params
 
 
@@ -191,16 +219,12 @@ def _load_coin(choice: str, default: str) -> np.ndarray:
     """The named default (``hadamard`` or ``plus-i``), or a JSON matrix file."""
     if choice == default:
         return {"hadamard": HADAMARD, "plus-i": PLUS_I_COIN}[default]
-    with open(choice, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+    return matrix_from_json(_read_json(choice))
 
 
 def cmd_simulate(args, p: dict) -> int:
     _require(p, "model", "sites", "steps")
     sites, steps, seed, samples = p["sites"], p["steps"], p["seed"], p["samples"]
-    _check_sites(sites)
-    if steps < 1:
-        raise ConfigurationError(f"--steps must be >= 1, got {steps}")
     if samples < 1:
         raise ConfigurationError(f"--samples must be >= 1, got {samples}")
     coin = _load_coin(p["coin"], "hadamard")
@@ -212,6 +236,9 @@ def cmd_simulate(args, p: dict) -> int:
         template = NonlocalTemplate(
             d_s=sites, d_e=p["env_dim"], spread=p["spread"], coin=coin, initial_coin=initial_coin
         )
+        # Check the sites and coins by the model's rules before any sample is drawn:
+        # bad input is a usage error, as for the local model, not a failed sample.
+        WalkModel(sites, NonlocalEnvironment([[1]], [[1]]), coin, initial_coin=initial_coin)
         result = quench_average(template, samples, seed, steps)
         text = _series_csv(result.mean, result.d_omega_std if samples > 1 else None)
         extra["sample_seed_paths"] = [[seed, k] for k in range(samples)]
@@ -237,9 +264,6 @@ def cmd_simulate(args, p: dict) -> int:
 def cmd_classical(args, p: dict) -> int:
     _require(p, "sites", "steps")
     sites, steps = p["sites"], p["steps"]
-    _check_sites(sites)
-    if steps < 1:
-        raise ConfigurationError(f"--steps must be >= 1, got {steps}")
     text = _series_csv(classical_series(sites, 0, steps))
     return _finish(args, p, f"classical_s{sites}_t{steps}.csv", text)
 

@@ -13,7 +13,9 @@ currently occupied site, so the environment dimension is ``2**d_s``.
 
 Neither step operator ever materializes the full evolution matrix; one
 step costs O(d_s * d_e**2) (nonlocal) or O(d_s * 2**d_s) (local), the latter
-one vectorized gather per branch with no Python loop over sites.
+one vectorized gather per branch with no Python loop over sites.  Step
+outputs are not validated: a ``PureState`` is checked where it enters a
+run, and ``evolve`` checks the norm of the state it returns.
 """
 
 import functools
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionMismatchError
+from .errors import ConfigurationError, DimensionMismatchError, NumericsError
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 HADAMARD.setflags(write=False)
@@ -69,12 +71,22 @@ def _check_unitary(name: str, u: np.ndarray, tol: float = _UNITARY_TOL) -> None:
     )
 
 
-def _check_unit_vector(name: str, v: np.ndarray, length: int) -> None:
+def _check_unit_vector(name: str, v: np.ndarray, length: int, error=ConfigurationError) -> None:
     if v.shape != (length,):
         raise ConfigurationError(f"{name} must have length {length}, got shape {v.shape}")
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > _UNITARY_TOL:
-        raise ConfigurationError(f"{name} must be a unit vector (norm {nrm!r})")
+    if not abs(nrm - 1.0) <= _UNITARY_TOL:  # written so that a NaN norm fails
+        raise error(f"{name} must have norm 1 within {_UNITARY_TOL:g}, got {float(nrm)!r}")
+
+
+def _check_sites(d_s: int) -> None:
+    if d_s < 3 or d_s % 2 == 0:
+        raise ConfigurationError(f"site count must be odd and >= 3, got {d_s}")
+
+
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ConfigurationError(f"steps must be >= 0, got {steps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,8 +102,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.d_s < 1 or self.d_s % 2 == 0:
-            raise ConfigurationError(f"site count must be odd and positive, got {self.d_s}")
+        _check_sites(self.d_s)
         if self.d_e < 1:
             raise ConfigurationError(f"environment dimension must be >= 1, got {self.d_e}")
         amps = _as_complex(self.amplitudes, "amplitudes")
@@ -100,9 +111,7 @@ class PureState:
             raise DimensionMismatchError(
                 f"amplitudes must have length {expected}, got shape {amps.shape}"
             )
-        nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > 1e-10:
-            raise ConfigurationError(f"state norm must be 1 within 1e-10, got {nrm!r}")
+        _check_unit_vector("state", amps, expected)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -182,8 +191,7 @@ class WalkModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_s < 1 or self.d_s % 2 == 0:
-            raise ConfigurationError(f"site count must be odd and positive, got {self.d_s}")
+        _check_sites(self.d_s)
         coin = _as_complex(self.coin, "coin")
         if coin.shape != (2, 2):
             raise ConfigurationError(f"coin must be 2x2, got shape {coin.shape}")
@@ -257,13 +265,17 @@ def init_state(model: WalkModel) -> PureState:
 
 
 def _shift(d_s: int, left: np.ndarray, right: np.ndarray) -> PureState:
-    """Shift the (site, env) amplitudes of branch 0 left and of branch 1 right."""
+    """Shift the (site, env) amplitudes of branch 0 left and of branch 1 right, into
+    a read-only ``PureState`` that skips ``__post_init__`` (no per-step check)."""
     out = np.empty((d_s, 2, left.shape[1]), dtype=np.complex128)
     out[:-1, 0, :] = left[1:]
     out[-1, 0, :] = left[0]
     out[1:, 1, :] = right[:-1]
     out[0, 1, :] = right[-1]
-    return PureState(d_s, left.shape[1], out.reshape(-1))
+    out.setflags(write=False)
+    state = object.__new__(PureState)
+    state.__dict__.update(d_s=d_s, d_e=left.shape[1], amplitudes=out.reshape(-1))
+    return state
 
 
 def _coin_flip(coin: np.ndarray, state: PureState) -> np.ndarray:
@@ -331,18 +343,12 @@ def step_local(
     return _shift(d_s, out[0], out[1])
 
 
-def _step_operator(model: WalkModel):
-    """The step function configured in ``model`` and its operands."""
-    env = model.environment
-    if isinstance(env, LocalEnvironment):
-        return step_local, (model.coin, env.g0, env.g1)
-    return step_nonlocal, (model.coin, env.e0, env.e1)
-
-
 def step(state: PureState, model: WalkModel) -> PureState:
     """Apply the step operator configured in ``model``."""
-    kernel, operands = _step_operator(model)
-    return kernel(state, *operands)
+    env = model.environment
+    if isinstance(env, LocalEnvironment):
+        return step_local(state, model.coin, env.g0, env.g1)
+    return step_nonlocal(state, model.coin, env.e0, env.e1)
 
 
 def evolve(model: WalkModel, steps: int, observer=None) -> PureState:
@@ -351,18 +357,18 @@ def evolve(model: WalkModel, steps: int, observer=None) -> PureState:
     ``observer(t, state)`` is invoked at every time step including t=0;
     an observer exception aborts the run and propagates.  No
     renormalization is applied between steps, so norm drift is a direct
-    measure of numerical error.
+    measure of numerical error.  The steps are unchecked; the final norm
+    is checked, and drift beyond 1e-10 (or NaN) raises ``NumericsError``.
     """
-    if steps < 0:
-        raise ConfigurationError(f"steps must be >= 0, got {steps}")
+    _check_steps(steps)
     state = init_state(model)
     if observer is not None:
         observer(0, state)
-    kernel, operands = _step_operator(model)
     for t in range(1, steps + 1):
-        state = kernel(state, *operands)
+        state = step(state, model)
         if observer is not None:
             observer(t, state)
+    _check_unit_vector("final state", state.amplitudes, state.amplitudes.size, NumericsError)
     return state
 
 

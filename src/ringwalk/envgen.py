@@ -152,8 +152,11 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    shape = tuple(int(n) for n in obj["shape"])
-    pairs = np.asarray(obj["entries"], dtype=np.float64)
+    try:
+        shape = tuple(int(n) for n in obj["shape"])
+        pairs = np.asarray(obj["entries"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"a matrix needs 'shape' and 'entries' lists ({exc!r})") from None
     expected = int(np.prod(shape)) if shape else 0
     if pairs.shape != (expected, 2):
         raise DimensionMismatchError(

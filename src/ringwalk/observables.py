@@ -126,6 +126,9 @@ def position_mixedness(state: PureState) -> tuple[float, float]:
         raise NumericsError(
             f"position reduction has eigenvalue {eigvals[0]:.3e} below {_EIG_HARD_FLOOR:g}"
         )
+    trace = eigvals.sum()  # the squared norm: the series' per-step norm check
+    if not abs(trace - 1.0) <= 2e-10:  # written so that a NaN fails
+        raise NumericsError(f"squared state norm must be 1 within 2e-10, got {float(trace)!r}")
     dist = float(0.5 * np.abs(eigvals - 1.0 / state.d_s).sum())
     return dist, _spectrum_entropy(np.clip(eigvals, 0.0, 1.0))
 

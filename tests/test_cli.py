@@ -241,12 +241,73 @@ class TestConfigAndErrors:
                      "--env-dims must be a comma-separated list", id="list"),
         pytest.param("saturation-sweep", {"sites_list": [], "ratios": [2], "steps": 5},
                      "--sites-list must not be empty", id="empty-list"),
+        pytest.param("simulate", {"model": "nonlocal", "sites": 5.7, "env_dim": 2, "steps": 5},
+                     "--sites must be an integer", id="fractional-int"),
+        pytest.param("mixing-sweep", {"sites": 5, "env_dims": [4, 4.5], "steps": 5},
+                     "--env-dims must be a comma-separated list", id="fractional-list-element"),
+        pytest.param("simulate", {"model": "nonlocal", "sites": 5, "env_dim": 2, "steps": True},
+                     "--steps must be an integer", id="bool-int"),
+        pytest.param("simulate", {"model": "nonlocal", "sites": 5, "env_dim": 2, "steps": 5,
+                                  "spread": False}, "--spread must be a number", id="bool-float"),
     ])
     def test_wrongly_typed_config_value(self, tmp_path, capsys, command, cfg, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert run(command, "--config", path, "--output", tmp_path / "x.csv") == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_integral_float_accepted_for_int(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "nonlocal", "sites": 5.0, "env_dim": 2, "steps": 5}))
+        assert run("simulate", "--config", cfg, "--output", tmp_path / "x.csv") == 0
+        manifest = json.loads((tmp_path / "x.manifest.json").read_text())
+        assert manifest["parameters"]["sites"] == 5
+
+    @pytest.mark.parametrize("flag", ["--config", "--coin", "--initial-coin"])
+    def test_truncated_json_file_is_usage_error(self, tmp_path, capsys, flag):
+        path = tmp_path / "bad.json"
+        path.write_text('{"shape": [2, 2], "entries": [[1, 0],')
+        code = run(
+            "simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2, "--steps", 5,
+            flag, path, "--output", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
+    def test_coin_file_without_shape_is_usage_error(self, tmp_path):
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps({"entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
+        code = run(
+            "simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2, "--steps", 5,
+            "--coin", path, "--output", tmp_path / "x.csv",
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("model", [
+        ("--model", "nonlocal", "--env-dim", 2),
+        ("--model", "local", "--theta0", 0.1, "--phi0", 0.0, "--theta1", 0.1, "--phi1", 1.0),
+    ], ids=["nonlocal", "local"])
+    def test_nan_initial_coin_is_usage_error(self, tmp_path, capsys, model):
+        path = tmp_path / "coin.json"
+        path.write_text('{"shape": [2], "entries": [[NaN, 0], [0, 0]]}')
+        code = run(
+            "simulate", *model, "--sites", 5, "--steps", 5,
+            "--initial-coin", path, "--output", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert "initial_coin must have norm 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2),
+        ("mixing-sweep", "--sites", 5, "--env-dims", "2,4", "--samples", 2),
+        ("saturation-sweep", "--sites-list", "5", "--ratios", "2", "--samples", 2),
+        ("classical", "--sites", 5),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_below_one_rejected(self, tmp_path, capsys, argv, steps):
+        assert run(*argv, "--steps", steps, "--output", tmp_path / "x.csv") == 2
+        assert f"--steps must be >= 1, got {steps}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):

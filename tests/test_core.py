@@ -8,6 +8,7 @@ from ringwalk import (
     DimensionMismatchError,
     LocalEnvironment,
     NonlocalEnvironment,
+    NumericsError,
     PureState,
     WalkModel,
     evolve,
@@ -74,22 +75,46 @@ class TestPureState:
         with pytest.raises(ConfigurationError):
             PureState(3, 1, np.ones(6, dtype=complex))
 
+    def test_rejects_nan_norm(self):
+        amps = np.zeros(3 * 2, dtype=complex)
+        amps[0] = np.nan
+        with pytest.raises(ConfigurationError):
+            PureState(3, 1, amps)
+
     def test_rejects_even_sites(self):
         amps = np.zeros(4 * 2, dtype=complex)
         amps[0] = 1.0
         with pytest.raises(ConfigurationError):
             PureState(4, 1, amps)
 
+    def test_rejects_one_site(self):
+        with pytest.raises(ConfigurationError):
+            PureState(1, 1, np.array([1.0, 0.0], dtype=complex))
+
     def test_amplitudes_read_only(self):
         state = init_state(bare_model(3))
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("kind", ["local", "nonlocal"])
+    def test_kernel_outputs_read_only(self, kind):
+        if kind == "local":
+            model = WalkModel(d_s=3, environment=LocalEnvironment(np.eye(2), np.eye(2)))
+        else:
+            model = random_nonlocal_model(5, 2, seed=3)
+        for state in (step(init_state(model), model), evolve(model, 4)):
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0.0
 
 
 class TestWalkModel:
     def test_rejects_even_sites(self):
         with pytest.raises(ConfigurationError):
             WalkModel(d_s=4, environment=IDENTITY_ENV)
+
+    def test_rejects_one_site(self):
+        with pytest.raises(ConfigurationError):
+            WalkModel(d_s=1, environment=IDENTITY_ENV)
 
     def test_rejects_nonunitary_coin(self):
         with pytest.raises(ConfigurationError):
@@ -332,6 +357,46 @@ class TestEvolve:
     def test_negative_steps_rejected(self):
         with pytest.raises(ConfigurationError):
             evolve(bare_model(3), -1)
+        with pytest.raises(ConfigurationError):
+            walk_series(bare_model(3), -1)
+
+    def test_validates_one_state_per_run(self, monkeypatch):
+        calls = []
+        validate = PureState.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(PureState, "__post_init__", counted)
+        evolve(random_nonlocal_model(5, 2, seed=13), 50)
+        assert len(calls) == 1
+
+    def drifting_model(self):
+        # e0 passes the 1e-10 unitarity check, but the walk gains norm at every step.
+        e0, e1 = sample_environment_pair(4, 1.0, rng_stream(5))
+        return WalkModel(d_s=7, environment=NonlocalEnvironment(e0 * (1 + 3e-11), e1))
+
+    def test_norm_drift_fails_the_run(self):
+        with pytest.raises(NumericsError, match="final state"):
+            evolve(self.drifting_model(), 60)
+
+    def test_norm_drift_stops_the_series_at_its_step(self, monkeypatch):
+        import ringwalk.analysis
+
+        model = self.drifting_model()
+        drifts = []
+        observe = ringwalk.analysis.position_mixedness
+
+        def recorded(state):
+            drifts.append(abs(state.norm() ** 2 - 1.0))
+            return observe(state)
+
+        monkeypatch.setattr(ringwalk.analysis, "position_mixedness", recorded)
+        with pytest.raises(NumericsError, match="squared state norm"):
+            walk_series(model, 60)
+        assert len(drifts) < 61
+        assert drifts[-1] > 2e-10 and max(drifts[:-1]) < 2e-10
 
     def test_observer_called_every_step_including_zero(self):
         seen = []
