@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HADAMARD, PLUS_I_COIN, NonlocalEnvironment, WalkModel, _check_steps, evolve
+from .core import HADAMARD, PLUS_I_COIN, NonlocalEnvironment, WalkModel, evolve
+from .core import _check_steps, _check_walk_inputs
 from .envgen import rng_stream, sample_environment_pair
 from .errors import (
     ConfigurationError,
@@ -227,7 +228,13 @@ def fit_power_law(points) -> FitResult:
 
 @dataclass(frozen=True, eq=False)
 class NonlocalTemplate:
-    """Everything a quench run fixes, minus the sampled branch matrices."""
+    """Everything a quench run fixes, minus the sampled branch matrices.
+
+    The configuration is checked once, on construction, by the rules of
+    ``WalkModel`` plus ``d_e >= 1`` and a finite ``spread > 0``; a bad value
+    raises ``ConfigurationError`` and the arrays are stored read-only.  So a
+    ``QuenchSampleError`` means that a sample failed while it was drawn or run.
+    """
 
     d_s: int
     d_e: int
@@ -236,6 +243,13 @@ class NonlocalTemplate:
     initial_site: int = 0
     initial_coin: np.ndarray = field(default_factory=lambda: PLUS_I_COIN)
     initial_env: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.d_e < 1:
+            raise ConfigurationError(f"environment dimension must be >= 1, got {self.d_e}")
+        if not (math.isfinite(self.spread) and self.spread > 0):
+            raise ConfigurationError(f"spread must be finite and > 0, got {self.spread}")
+        _check_walk_inputs(self)
 
     def realize(self, seed: int, *path: int) -> WalkModel:
         """Draw branch matrices from the stream (seed, *path) and build the model."""

@@ -45,14 +45,7 @@ from .analysis import (
     walk_series,
 )
 from .classical import classical_mixing_time, classical_series
-from .core import (
-    HADAMARD,
-    PLUS_I_COIN,
-    LocalEnvironment,
-    NonlocalEnvironment,
-    WalkModel,
-    _check_sites,
-)
+from .core import HADAMARD, PLUS_I_COIN, LocalEnvironment, WalkModel, _json_input
 from .envgen import GateAngles, make_local_gate, matrix_from_json
 from .errors import (
     ConfigurationError,
@@ -129,17 +122,8 @@ def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit_text=N
     return 0
 
 
-def _read_json(path: str):
-    """The JSON document in ``path``; malformed JSON is a configuration error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
-
-
 def _load_config(path: str) -> dict:
-    doc = _read_json(path)
+    doc = _json_input(Path(path).read_bytes(), path)
     if not isinstance(doc, dict):
         raise ConfigurationError(f"config {path} must contain a JSON object")
     # A run manifest is accepted directly: its parameters block mirrors the flags.
@@ -219,7 +203,7 @@ def _load_coin(choice: str, default: str) -> np.ndarray:
     """The named default (``hadamard`` or ``plus-i``), or a JSON matrix file."""
     if choice == default:
         return {"hadamard": HADAMARD, "plus-i": PLUS_I_COIN}[default]
-    return matrix_from_json(_read_json(choice))
+    return matrix_from_json(_json_input(Path(choice).read_bytes(), choice))
 
 
 def cmd_simulate(args, p: dict) -> int:
@@ -236,9 +220,6 @@ def cmd_simulate(args, p: dict) -> int:
         template = NonlocalTemplate(
             d_s=sites, d_e=p["env_dim"], spread=p["spread"], coin=coin, initial_coin=initial_coin
         )
-        # Check the sites and coins by the model's rules before any sample is drawn:
-        # bad input is a usage error, as for the local model, not a failed sample.
-        WalkModel(sites, NonlocalEnvironment([[1]], [[1]]), coin, initial_coin=initial_coin)
         result = quench_average(template, samples, seed, steps)
         text = _series_csv(result.mean, result.d_omega_std if samples > 1 else None)
         extra["sample_seed_paths"] = [[seed, k] for k in range(samples)]
@@ -271,12 +252,12 @@ def cmd_classical(args, p: dict) -> int:
 def cmd_mixing_sweep(args, p: dict) -> int:
     _require(p, "sites", "env_dims", "steps")
     sites, seed = p["sites"], p["seed"]
-    _check_sites(sites)
+    # Every point is checked before the first sample is drawn.
+    templates = [NonlocalTemplate(d_s=sites, d_e=d_e, spread=p["spread"]) for d_e in p["env_dims"]]
 
     rows = ["d_b,tau_mix,tau_err"]
     point_log = []
-    for j, d_e in enumerate(p["env_dims"]):
-        template = NonlocalTemplate(d_s=sites, d_e=d_e, spread=p["spread"])
+    for j, (d_e, template) in enumerate(zip(p["env_dims"], templates)):
         result = quench_average(template, p["samples"], (seed, j), p["steps"])
         try:
             window = select_fit_window(result.mean)
@@ -307,18 +288,19 @@ def cmd_saturation_sweep(args, p: dict) -> int:
     if (p["ratios"] is None) == (p["env_dims"] is None):
         raise ConfigurationError("exactly one of --ratios or --env-dims is required")
     sites_list = p["sites_list"]
-    for d_s in sites_list:
-        _check_sites(d_s)
     if p["ratios"] is not None:
+        if not all(math.isfinite(r) and r > 0 for r in p["ratios"]):
+            raise ConfigurationError(f"--ratios must be finite and > 0, got {p['ratios']}")
         grid = [(d_s, max(1, round(r * d_s / 2.0))) for d_s in sites_list for r in p["ratios"]]
     else:
         grid = [(d_s, d_e) for d_s in sites_list for d_e in p["env_dims"]]
+    # Every point is checked before the first sample is drawn.
+    templates = [NonlocalTemplate(d_s=d_s, d_e=d_e, spread=p["spread"]) for d_s, d_e in grid]
 
     rows = ["d_s,d_b,ratio,mean_d,std_d"]
     fit_points = []
     point_log = []
-    for j, (d_s, d_e) in enumerate(grid):
-        template = NonlocalTemplate(d_s=d_s, d_e=d_e, spread=p["spread"])
+    for j, ((d_s, d_e), template) in enumerate(zip(grid, templates)):
         result = quench_average(template, p["samples"], (p["seed"], j), p["steps"])
         summary = plateau_summary(result)
         d_b = 2 * d_e

@@ -50,25 +50,27 @@ def _as_complex(a, name: str) -> np.ndarray:
     return out
 
 
-def _check_unitary(name: str, u: np.ndarray, tol: float = _UNITARY_TOL) -> None:
-    """Raise unless ``u`` is unitary within ``tol`` in spectral norm.
+def _unitary_input(name: str, a, shape: tuple | None = None) -> np.ndarray:
+    """``a`` as a read-only complex matrix, square (of ``shape`` if given) and
+    unitary within ``_UNITARY_TOL`` in spectral norm.
 
     Uses the Frobenius norm as a two-sided bound (spectral <= frobenius
     <= sqrt(n) * spectral) and only falls back to an exact spectral norm
     in the inconclusive band, so large matrices stay cheap to validate.
     """
+    u = _as_complex(a, name)
+    if shape is not None and u.shape != shape:
+        raise ConfigurationError(f"{name} must be {shape[0]}x{shape[1]}, got shape {u.shape}")
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ConfigurationError(f"{name} must be a square matrix, got shape {u.shape}")
     gram = u.conj().T @ u
     gram[np.diag_indices_from(gram)] -= 1.0
     frob = np.linalg.norm(gram)
-    if frob <= tol:
-        return
-    if frob / np.sqrt(u.shape[0]) <= tol and np.linalg.norm(gram, 2) <= tol:
-        return
-    raise ConfigurationError(
-        f"{name} is not unitary within {tol:g} (deviation ~{frob:.3e})"
-    )
+    tol = _UNITARY_TOL
+    if not (frob <= tol or (frob / np.sqrt(u.shape[0]) <= tol and np.linalg.norm(gram, 2) <= tol)):
+        raise ConfigurationError(f"{name} is not unitary within {tol:g} (deviation ~{frob:.3e})")
+    u.setflags(write=False)
+    return u
 
 
 def _check_unit_vector(name: str, v: np.ndarray, length: int, error=ConfigurationError) -> None:
@@ -79,6 +81,23 @@ def _check_unit_vector(name: str, v: np.ndarray, length: int, error=Configuratio
         raise error(f"{name} must have norm 1 within {_UNITARY_TOL:g}, got {float(nrm)!r}")
 
 
+def _unit_vector_input(name: str, v, length: int) -> np.ndarray:
+    """``v`` as a read-only complex vector of ``length`` with norm 1."""
+    v = _as_complex(v, name)
+    _check_unit_vector(name, v, length)
+    v.setflags(write=False)
+    return v
+
+
+def _json_input(data: bytes, source) -> object:
+    """The JSON document in the UTF-8 ``data`` read from ``source``; malformed
+    JSON is a configuration error."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigurationError(f"{source} is not valid JSON: {exc}") from None
+
+
 def _check_sites(d_s: int) -> None:
     if d_s < 3 or d_s % 2 == 0:
         raise ConfigurationError(f"site count must be odd and >= 3, got {d_s}")
@@ -87,6 +106,23 @@ def _check_sites(d_s: int) -> None:
 def _check_steps(steps: int) -> None:
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
+
+
+def _check_walk_inputs(walk) -> None:
+    """Check and freeze the inputs a ``WalkModel`` and a ``NonlocalTemplate`` share:
+    the site count, the coin, the initial site, and the initial coin and
+    environment vectors (the latter ``walk.d_e`` long)."""
+    _check_sites(walk.d_s)
+    object.__setattr__(walk, "coin", _unitary_input("coin", walk.coin, (2, 2)))
+    if not 0 <= walk.initial_site < walk.d_s:
+        raise ConfigurationError(
+            f"initial site {walk.initial_site} outside ring of {walk.d_s} sites"
+        )
+    icoin = _unit_vector_input("initial_coin", walk.initial_coin, 2)
+    object.__setattr__(walk, "initial_coin", icoin)
+    if walk.initial_env is not None:
+        ienv = _unit_vector_input("initial_env", walk.initial_env, walk.d_e)
+        object.__setattr__(walk, "initial_env", ienv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,9 +147,7 @@ class PureState:
             raise DimensionMismatchError(
                 f"amplitudes must have length {expected}, got shape {amps.shape}"
             )
-        _check_unit_vector("state", amps, expected)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _unit_vector_input("state", amps, expected))
 
     @property
     def d_b(self) -> int:
@@ -136,16 +170,12 @@ class NonlocalEnvironment:
     e1: np.ndarray
 
     def __post_init__(self):
-        e0 = _as_complex(self.e0, "e0")
-        e1 = _as_complex(self.e1, "e1")
-        _check_unitary("e0", e0)
-        _check_unitary("e1", e1)
+        e0 = _unitary_input("e0", self.e0)
+        e1 = _unitary_input("e1", self.e1)
         if e0.shape != e1.shape:
             raise ConfigurationError(
                 f"e0 and e1 must have equal shape, got {e0.shape} and {e1.shape}"
             )
-        e0.setflags(write=False)
-        e1.setflags(write=False)
         object.__setattr__(self, "e0", e0)
         object.__setattr__(self, "e1", e1)
 
@@ -162,16 +192,8 @@ class LocalEnvironment:
     g1: np.ndarray
 
     def __post_init__(self):
-        g0 = _as_complex(self.g0, "g0")
-        g1 = _as_complex(self.g1, "g1")
-        for name, g in (("g0", g0), ("g1", g1)):
-            if g.shape != (2, 2):
-                raise ConfigurationError(f"{name} must be 2x2, got shape {g.shape}")
-            _check_unitary(name, g)
-        g0.setflags(write=False)
-        g1.setflags(write=False)
-        object.__setattr__(self, "g0", g0)
-        object.__setattr__(self, "g1", g1)
+        for name in ("g0", "g1"):
+            object.__setattr__(self, name, _unitary_input(name, getattr(self, name), (2, 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,14 +213,6 @@ class WalkModel:
     seed: int = 0
 
     def __post_init__(self):
-        _check_sites(self.d_s)
-        coin = _as_complex(self.coin, "coin")
-        if coin.shape != (2, 2):
-            raise ConfigurationError(f"coin must be 2x2, got shape {coin.shape}")
-        _check_unitary("coin", coin)
-        coin.setflags(write=False)
-        object.__setattr__(self, "coin", coin)
-
         if isinstance(self.environment, LocalEnvironment):
             if self.d_s > LOCAL_SITE_LIMIT:
                 raise ConfigurationError(
@@ -209,22 +223,7 @@ class WalkModel:
             raise ConfigurationError(
                 "environment must be a NonlocalEnvironment or LocalEnvironment"
             )
-
-        if not 0 <= self.initial_site < self.d_s:
-            raise ConfigurationError(
-                f"initial site {self.initial_site} outside ring of {self.d_s} sites"
-            )
-
-        icoin = _as_complex(self.initial_coin, "initial_coin")
-        _check_unit_vector("initial_coin", icoin, 2)
-        icoin.setflags(write=False)
-        object.__setattr__(self, "initial_coin", icoin)
-
-        if self.initial_env is not None:
-            ienv = _as_complex(self.initial_env, "initial_env")
-            _check_unit_vector("initial_env", ienv, self.d_e)
-            ienv.setflags(write=False)
-            object.__setattr__(self, "initial_env", ienv)
+        _check_walk_inputs(self)
 
     @property
     def d_e(self) -> int:
@@ -387,10 +386,14 @@ def read_snapshot(path) -> PureState:
     with open(path, "rb") as fh:
         header_line = fh.readline()
         raw = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    if header.get("layout") != SNAPSHOT_LAYOUT:
-        raise ConfigurationError(f"unsupported snapshot layout {header.get('layout')!r}")
-    d_s, d_e = int(header["d_S"]), int(header["d_E"])
+    header = _json_input(header_line, f"the header of snapshot {path}")
+    layout = header.get("layout") if isinstance(header, dict) else None
+    if layout != SNAPSHOT_LAYOUT:
+        raise ConfigurationError(f"unsupported snapshot layout {layout!r}")
+    try:
+        d_s, d_e = int(header["d_S"]), int(header["d_E"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"snapshot header needs integer d_S and d_E: {header}") from None
     floats = np.frombuffer(raw, dtype="<f8")
     if floats.size != 2 * d_s * 2 * d_e:
         raise DimensionMismatchError(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _json_input
 from .errors import ConfigurationError, DimensionMismatchError, DomainError, NumericsError
 
 _TWO_PI = 2.0 * math.pi
@@ -174,6 +175,10 @@ def save_environment(path, e0: np.ndarray, e1: np.ndarray) -> None:
 
 
 def load_environment(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return matrix_from_json(doc["e0"]), matrix_from_json(doc["e1"])
+    with open(path, "rb") as fh:
+        doc = _json_input(fh.read(), path)
+    try:
+        e0, e1 = doc["e0"], doc["e1"]
+    except (KeyError, TypeError):
+        raise ConfigurationError(f"{path} must hold the matrices 'e0' and 'e1'") from None
+    return matrix_from_json(e0), matrix_from_json(e1)

@@ -180,6 +180,43 @@ class TestFitPowerLaw:
         assert doc["provenance"] == {"seed": 1}
 
 
+class TestNonlocalTemplate:
+    @pytest.mark.parametrize("kwargs", [
+        {"d_s": 4, "d_e": 2},
+        {"d_s": 5, "d_e": 0},
+        {"d_s": 5, "d_e": 2, "spread": 0.0},
+        {"d_s": 5, "d_e": 2, "spread": -1.0},
+        {"d_s": 5, "d_e": 2, "spread": math.inf},
+        {"d_s": 5, "d_e": 2, "spread": math.nan},
+        {"d_s": 5, "d_e": 2, "coin": [[1.0, 1.0], [0.0, 1.0]]},
+        {"d_s": 5, "d_e": 2, "initial_site": 5},
+        {"d_s": 5, "d_e": 2, "initial_coin": [1.0, 1.0]},
+        {"d_s": 5, "d_e": 2, "initial_env": [1.0, 0.0, 0.0]},
+    ], ids=["even-sites", "d_e-0", "spread-0", "spread-negative", "spread-inf", "spread-nan",
+            "non-unitary-coin", "initial-site", "non-unit-initial-coin", "initial-env-length"])
+    def test_rejects_bad_field(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            NonlocalTemplate(**kwargs)
+
+    def test_checks_by_the_model_rules(self):
+        from ringwalk import NonlocalEnvironment, WalkModel
+
+        coin = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ConfigurationError) as from_template:
+            NonlocalTemplate(d_s=5, d_e=2, coin=coin)
+        with pytest.raises(ConfigurationError) as from_model:
+            WalkModel(5, NonlocalEnvironment(np.eye(2), np.eye(2)), coin=coin)
+        assert str(from_template.value) == str(from_model.value)
+
+    def test_arrays_stored_read_only(self):
+        template = NonlocalTemplate(
+            d_s=5, d_e=2, coin=np.eye(2), initial_coin=[1.0, 0.0], initial_env=[0.0, 1.0]
+        )
+        for a in (template.coin, template.initial_coin, template.initial_env):
+            assert a.dtype == np.complex128
+            assert not a.flags.writeable
+
+
 class TestQuenchAverage:
     def test_single_sample_equals_run(self):
         template = NonlocalTemplate(d_s=5, d_e=3)
@@ -214,7 +251,8 @@ class TestQuenchAverage:
         assert result.mean.metadata["n_samples"] == 3
 
     def test_failure_names_sample_index(self):
-        template = NonlocalTemplate(d_s=5, d_e=0)  # invalid dimension
+        # Valid as a template, but drawing the generator overflows inside sample 0.
+        template = NonlocalTemplate(d_s=5, d_e=2, spread=1e308)
         with pytest.raises(QuenchSampleError) as err:
             quench_average(template, 2, 3, 10)
         assert err.value.sample_index == 0

@@ -175,6 +175,17 @@ class TestSaturationSweep:
         assert "--ratios or --env-dims" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("ratios", ["-2,0,2,4,8", "0,2,4,8", "nan,2,4,8", "inf,2,4,8"],
+                             ids=["negative", "zero", "nan", "inf"])
+    def test_ratios_must_be_finite_and_positive(self, tmp_path, capsys, ratios):
+        code = run(
+            "saturation-sweep", "--sites-list", "11", f"--ratios={ratios}",
+            "--samples", 1, "--steps", 60, "--output", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert "--ratios must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_fit_skipped_with_too_few_points(self, tmp_path, capsys):
         out = tmp_path / "sat2.csv"
         code = run(
@@ -326,11 +337,33 @@ class TestConfigAndErrors:
         ) == 2
 
     def test_numerical_failure_exit_code(self, tmp_path):
+        # A valid spread whose generator overflows while sample 0 is drawn.
         code = run(
             "simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2,
-            "--steps", 10, "--spread", -1.0, "--output", tmp_path / "x.csv",
+            "--steps", 10, "--spread", 1e308, "--output", tmp_path / "x.csv",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 0, "--steps", 5),
+        ("simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2, "--steps", 5,
+         "--spread", 0),
+        ("simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2, "--steps", 5,
+         "--spread", -1),
+        ("simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2, "--steps", 5,
+         "--spread", "inf"),
+        ("mixing-sweep", "--sites", 5, "--env-dims", "4,0", "--samples", 1, "--steps", 60),
+    ], ids=["env-dim-0", "spread-0", "spread-negative", "spread-inf", "sweep-env-dims-4,0"])
+    def test_bad_template_parameter_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        import ringwalk.cli
+
+        quenched = []
+        monkeypatch.setattr(ringwalk.cli, "quench_average", lambda *a: quenched.append(a))
+        code = run(*argv, "--output", tmp_path / "x.csv")
+        assert code == 2
+        assert quenched == []  # rejected before the first sample is drawn
+        assert "sample" not in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_io_failure_exit_code(self, tmp_path):
         target = tmp_path / "iamadir.csv"

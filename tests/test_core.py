@@ -471,6 +471,21 @@ class TestSnapshot:
         with pytest.raises(DimensionMismatchError):
             read_snapshot(path)
 
+    @pytest.mark.parametrize("header", [
+        b"notjson",
+        b'{"d_E": 1, "layout": "e+d_E*(c+2s)"}',
+        b'{"d_S": "three", "d_E": 1, "layout": "e+d_E*(c+2s)"}',
+        b"[3, 1]",
+    ], ids=["not-json", "no-d_S", "non-integer-d_S", "not-an-object"])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        state = init_state(bare_model(3))
+        path = tmp_path / "state.snap"
+        write_snapshot(state, path)
+        payload = path.read_bytes().split(b"\n", 1)[1]
+        path.write_bytes(header + b"\n" + payload)
+        with pytest.raises(ConfigurationError):
+            read_snapshot(path)
+
 
 def test_spatial_distribution_helper_agrees_with_oracle():
     rng = np.random.default_rng(3)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ringwalk import (
+    ConfigurationError,
     DimensionMismatchError,
     DomainError,
     GateAngles,
@@ -224,3 +225,15 @@ class TestMatrixJson:
         back0, back1 = load_environment(path)
         assert np.array_equal(back0, e0)
         assert np.array_equal(back1, e1)
+
+    @pytest.mark.parametrize("text", [
+        '{"e0": {"shape": [1, 1], "entries": [[1.0, 0.0]]}, "e1": ',
+        "{}",
+        '{"e0": {"shape": [1, 1], "entries": [[1.0, 0.0]]}}',
+        "[1, 2]",
+    ], ids=["truncated", "empty-object", "no-e1", "not-an-object"])
+    def test_malformed_environment_file_rejected(self, tmp_path, text):
+        path = tmp_path / "env.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError):
+            load_environment(path)
