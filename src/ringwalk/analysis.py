@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
 from .core import HADAMARD, PLUS_I_COIN, NonlocalEnvironment, WalkModel, evolve
 from .core import _check_steps, _check_walk_inputs
 from .envgen import rng_stream, sample_environment_pair
@@ -269,11 +270,20 @@ class NonlocalTemplate:
 @dataclass(frozen=True, eq=False)
 class QuenchResult:
     """Pointwise mean series over environment samples, the per-step sample
-    standard deviation of the distance, and every per-sample series."""
+    standard deviation of the distance, every per-sample series, and the
+    BLAS thread count the samples ran with (None where it is unknown)."""
 
     mean: ObservableSeries
     d_omega_std: np.ndarray
     samples: list
+    blas_threads: int | None = None
+
+
+#: Quench points with ``d_e`` up to this run at one BLAS thread.  Up to it a
+#: second thread made no sample faster (11x64 to 151x64 on a 2-vCPU VM), and
+#: the idle worker spin-waits on another core; from ``d_e = 96`` on, threads
+#: start to pay (1.4x at ``d_e = 320``).
+ONE_BLAS_THREAD_MAX_D_E = 64
 
 
 def quench_average(
@@ -288,20 +298,23 @@ def quench_average(
     keeps them for the whole run; initial state and coin are fixed.
     ``base_seed`` may be an int or a (seed, *path) tuple so sweeps can give
     every parameter point its own stream family.  Samples are combined in
-    index order, so the aggregate is deterministic.
+    index order, so the aggregate is deterministic.  A point with
+    ``d_e <= ONE_BLAS_THREAD_MAX_D_E`` draws and runs its samples at one
+    BLAS thread; the caller's count is restored afterwards.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
     path = (int(base_seed),) if np.isscalar(base_seed) else tuple(int(p) for p in base_seed)
     samples = []
-    for k in range(n_samples):
-        try:
-            model = template.realize(*path, k)
-            series = walk_series(model, steps)
-        except Exception as exc:
-            raise QuenchSampleError(k, str(exc)) from exc
-        series.metadata["seed_path"] = list(path) + [k]
-        samples.append(series)
+    with _blas.limited(1 if template.d_e <= ONE_BLAS_THREAD_MAX_D_E else None) as threads:
+        for k in range(n_samples):
+            try:
+                model = template.realize(*path, k)
+                series = walk_series(model, steps)
+            except Exception as exc:
+                raise QuenchSampleError(k, str(exc)) from exc
+            series.metadata["seed_path"] = list(path) + [k]
+            samples.append(series)
 
     d_stack = np.stack([s.d_omega for s in samples])
     h_stack = np.stack([s.entropy for s in samples])
@@ -314,7 +327,7 @@ def quench_average(
     meta.pop("seed_path", None)
     meta.update({"n_samples": n_samples, "base_seed": list(path), "spread": template.spread})
     mean_series = ObservableSeries(samples[0].t, mean_d, mean_h, meta)
-    return QuenchResult(mean_series, std_d, samples)
+    return QuenchResult(mean_series, std_d, samples, threads)
 
 
 @dataclass(frozen=True)

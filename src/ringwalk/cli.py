@@ -223,6 +223,7 @@ def cmd_simulate(args, p: dict) -> int:
         result = quench_average(template, samples, seed, steps)
         text = _series_csv(result.mean, result.d_omega_std if samples > 1 else None)
         extra["sample_seed_paths"] = [[seed, k] for k in range(samples)]
+        extra["blas_threads"] = result.blas_threads
         name = f"simulate_nonlocal_s{sites}_e{p['env_dim']}_t{steps}_k{samples}_seed{seed}.csv"
     elif p["model"] == "local":
         _require(p, "theta0", "phi0", "theta1", "phi1")
@@ -263,11 +264,12 @@ def cmd_mixing_sweep(args, p: dict) -> int:
             window = select_fit_window(result.mean)
             fit = fit_exponential_mixing(result.mean, window)
             tau, err = fit.params["tau_mix"], fit.std_errors["tau_mix"]
-            point_log.append({"d_e": d_e, "index": j, "window": list(window)})
+            point = {"window": list(window)}
         except (FitWindowError, DomainError) as exc:
             # Degrade per point instead of aborting the sweep.
             tau, err = math.nan, math.nan
-            point_log.append({"d_e": d_e, "index": j, "error": str(exc)})
+            point = {"error": str(exc)}
+        point_log.append({"d_e": d_e, "index": j, "blas_threads": result.blas_threads, **point})
         rows.append(f"{2 * d_e},{_fmt(tau)},{_fmt(err)}")
 
     fit_cl, spectral = classical_mixing_time(sites)
@@ -291,7 +293,16 @@ def cmd_saturation_sweep(args, p: dict) -> int:
     if p["ratios"] is not None:
         if not all(math.isfinite(r) and r > 0 for r in p["ratios"]):
             raise ConfigurationError(f"--ratios must be finite and > 0, got {p['ratios']}")
-        grid = [(d_s, max(1, round(r * d_s / 2.0))) for d_s in sites_list for r in p["ratios"]]
+        grid = []
+        for d_s in sites_list:
+            for r in p["ratios"]:
+                d_e = round(r * d_s / 2.0)
+                if d_e < 1:
+                    raise ConfigurationError(
+                        f"--ratios {r:g} at d_s={d_s} asks for d_b < 2; "
+                        f"the smallest ratio d_s={d_s} allows is 2/{d_s} = {2 / d_s:.4g}"
+                    )
+                grid.append((d_s, d_e))
     else:
         grid = [(d_s, d_e) for d_s in sites_list for d_e in p["env_dims"]]
     # Every point is checked before the first sample is drawn.
@@ -308,7 +319,8 @@ def cmd_saturation_sweep(args, p: dict) -> int:
         rows.append(
             f"{d_s},{d_b},{_fmt(ratio)},{_fmt(summary.d_omega_mean)},{_fmt(summary.d_omega_std)}"
         )
-        point_log.append({"d_s": d_s, "d_e": d_e, "index": j, "t_start": summary.t_start})
+        point_log.append({"d_s": d_s, "d_e": d_e, "index": j, "t_start": summary.t_start,
+                          "blas_threads": result.blas_threads})
         if d_b > d_s:
             fit_points.append((ratio, summary.d_omega_mean))
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from ringwalk import (
     select_fit_window,
     walk_series,
 )
+from ringwalk import _blas, analysis
+from ringwalk.cli import main
 
 
 def synthetic_series(d_values, metadata=None):
@@ -260,6 +263,69 @@ class TestQuenchAverage:
     def test_rejects_zero_samples(self):
         with pytest.raises(ConfigurationError):
             quench_average(NonlocalTemplate(d_s=5, d_e=2), 0, 1, 10)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Run the test with the caller at two BLAS threads, restored afterwards."""
+    if _blas._controls() is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread getter and setter")
+    with _blas.limited(2):
+        yield _blas._controls()[0]
+
+
+class TestQuenchBlasThreads:
+    SMALL = analysis.ONE_BLAS_THREAD_MAX_D_E
+
+    def _record_threads(self, monkeypatch, getter):
+        seen = []
+
+        def recording(model, steps):
+            seen.append(getter())
+            return walk_series(model, steps)
+
+        monkeypatch.setattr(analysis, "walk_series", recording)
+        return seen
+
+    def test_below_rule_runs_at_one_thread(self, monkeypatch, two_blas_threads):
+        seen = self._record_threads(monkeypatch, two_blas_threads)
+        result = quench_average(NonlocalTemplate(d_s=5, d_e=self.SMALL), 2, 1, 10)
+        assert seen == [1, 1]
+        assert result.blas_threads == 1
+        assert two_blas_threads() == 2
+
+    def test_above_rule_keeps_callers_count(self, monkeypatch, two_blas_threads):
+        seen = self._record_threads(monkeypatch, two_blas_threads)
+        result = quench_average(NonlocalTemplate(d_s=3, d_e=self.SMALL + 1), 1, 1, 5)
+        assert seen == [2]
+        assert result.blas_threads == 2
+
+    def test_count_restored_after_failed_sample(self, two_blas_threads):
+        template = NonlocalTemplate(d_s=5, d_e=2, spread=1e308)
+        with pytest.raises(QuenchSampleError):
+            quench_average(template, 2, 3, 10)
+        assert two_blas_threads() == 2
+
+    def test_runs_without_thread_controls(self, monkeypatch):
+        template = NonlocalTemplate(d_s=7, d_e=4)
+        expected = quench_average(template, 2, 5, 40)
+        monkeypatch.setattr(_blas, "_controls", lambda: None)
+        result = quench_average(template, 2, 5, 40)
+        assert result.blas_threads is None
+        assert np.array_equal(result.mean.d_omega, expected.mean.d_omega)
+        assert np.array_equal(result.mean.entropy, expected.mean.entropy)
+        assert np.array_equal(result.d_omega_std, expected.d_omega_std)
+
+    def test_below_rule_csv_same_at_callers_count(self, tmp_path, monkeypatch, two_blas_threads):
+        argv = ["simulate", "--model", "nonlocal", "--sites", "51", "--env-dim", "32",
+                "--samples", "2", "--steps", "100", "--seed", "4"]
+        assert main([*argv, "--output", str(tmp_path / "one.csv")]) == 0
+        monkeypatch.setattr(analysis, "ONE_BLAS_THREAD_MAX_D_E", 0)
+        assert main([*argv, "--output", str(tmp_path / "two.csv")]) == 0
+        manifests = [json.loads((tmp_path / f"{n}.manifest.json").read_text())
+                     for n in ("one", "two")]
+        assert [m["blas_threads"] for m in manifests] == [1, 2]
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
 class TestWalkSeries:

@@ -6,7 +6,10 @@ import pytest
 from ringwalk.cli import main
 from oracles import dense_nonlocal_step
 
-from ringwalk import HADAMARD, PLUS_I_COIN
+from ringwalk import HADAMARD, PLUS_I_COIN, _blas
+
+# Small quench points run at one BLAS thread; None where the count is unknown.
+ONE_THREAD = None if _blas._controls() is None else 1
 
 
 def run(*argv):
@@ -36,6 +39,7 @@ class TestSimulate:
         assert manifest["base_seed"] == 1
         assert manifest["sample_seed_paths"] == [[1, 0], [1, 1], [1, 2]]
         assert manifest["outputs"]["csv"] == str(out)
+        assert manifest["blas_threads"] == ONE_THREAD
 
     def test_single_sample_has_no_std_column(self, tmp_path):
         out = tmp_path / "single.csv"
@@ -148,6 +152,7 @@ class TestMixingSweep:
         manifest = json.loads((tmp_path / "mix.manifest.json").read_text())
         assert manifest["classical"]["tau_spectral"] == pytest.approx(72.82, abs=0.01)
         assert "error" in manifest["points"][0]
+        assert [p["blas_threads"] for p in manifest["points"]] == [ONE_THREAD] * 2
 
 
 class TestSaturationSweep:
@@ -165,6 +170,8 @@ class TestSaturationSweep:
         assert fit["params"]["C"] > 0
         assert np.isfinite(fit["params"]["x"])
         assert fit["provenance"]["parameters"]["sites_list"] == [5, 7]
+        manifest = json.loads((tmp_path / "sat.manifest.json").read_text())
+        assert [p["blas_threads"] for p in manifest["points"]] == [ONE_THREAD] * 4
 
     def test_ratios_and_env_dims_together_rejected(self, tmp_path, capsys):
         code = run(
@@ -184,6 +191,18 @@ class TestSaturationSweep:
         )
         assert code == 2
         assert "--ratios must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_ratio_below_smallest_bath_rejected(self, tmp_path, capsys):
+        # 0.01 * 11 / 2 rounds to d_e = 0: no bath that small exists.
+        code = run(
+            "saturation-sweep", "--sites-list", "11", "--ratios=0.01,2,4,8",
+            "--samples", 1, "--steps", 60, "--output", tmp_path / "x.csv",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--ratios 0.01 at d_s=11" in err
+        assert "smallest ratio d_s=11 allows is 2/11 = 0.1818" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_fit_skipped_with_too_few_points(self, tmp_path, capsys):
