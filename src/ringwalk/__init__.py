@@ -72,16 +72,10 @@ from .errors import (
 from .observables import (
     DensityMatrix,
     apply_cp_map,
-    distance_to_uniform,
     kraus_completeness_defect,
     kraus_generators,
-    maximally_mixed,
     page_entropy,
     position_distribution,
     position_mixedness,
-    reduce_to_position,
     reduce_to_position_coin,
-    shannon_entropy,
-    trace_distance,
-    von_neumann_entropy,
 )

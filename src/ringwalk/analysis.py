@@ -305,6 +305,8 @@ def quench_average(
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
     path = (int(base_seed),) if np.isscalar(base_seed) else tuple(int(p) for p in base_seed)
+    if any(p < 0 for p in path):
+        raise ConfigurationError(f"seed path entries must be >= 0, got {list(path)}")
     samples = []
     with _blas.limited(1 if template.d_e <= ONE_BLAS_THREAD_MAX_D_E else None) as threads:
         for k in range(n_samples):

@@ -19,10 +19,16 @@ from .analysis import (
 )
 from .core import _check_sites, _check_steps
 from .errors import ConfigurationError, DomainError
-from .observables import shannon_entropy
+from .observables import _spectrum_mixedness
 
 
-def _check_probability(p: np.ndarray) -> np.ndarray:
+def _hop(p: np.ndarray) -> np.ndarray:
+    """Equal-probability hop to either neighbour, periodic boundary."""
+    return 0.5 * (np.roll(p, 1) + np.roll(p, -1))
+
+
+def classical_step(p: np.ndarray) -> np.ndarray:
+    """One hop of the probability vector ``p`` on an odd ring, checked first."""
     p = np.ascontiguousarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise DomainError(f"probability vector must be 1d, got shape {p.shape}")
@@ -30,33 +36,25 @@ def _check_probability(p: np.ndarray) -> np.ndarray:
         raise DomainError(f"probabilities must be nonnegative, min {p.min():.3e}")
     if abs(p.sum() - 1.0) > 1e-12:
         raise DomainError(f"probabilities must sum to 1 within 1e-12, got {p.sum()!r}")
-    return p
-
-
-def classical_step(p: np.ndarray) -> np.ndarray:
-    """Equal-probability hop to either neighbour, periodic boundary."""
-    p = _check_probability(p)
     _check_sites(p.size)
-    return 0.5 * (np.roll(p, 1) + np.roll(p, -1))
+    return _hop(p)
 
 
 def classical_series(d_s: int, s0: int, steps: int) -> ObservableSeries:
-    """Distance and Shannon-entropy series in the quantum series format."""
+    """Distance and Shannon-entropy series in the quantum series format: the
+    observer's spectrum rule read on the site distribution.  The inputs are
+    checked here, once; the walk then hops unchecked."""
     _check_sites(d_s)
     if not 0 <= s0 < d_s:
         raise ConfigurationError(f"start site {s0} outside ring of {d_s} sites")
     _check_steps(steps)
     p = np.zeros(d_s)
     p[s0] = 1.0
-    uniform = 1.0 / d_s
-    d_omega = np.empty(steps + 1)
-    entropy = np.empty(steps + 1)
-    d_omega[0] = 0.5 * np.abs(p - uniform).sum()
-    entropy[0] = shannon_entropy(p)
-    for t in range(1, steps + 1):
-        p = 0.5 * (np.roll(p, 1) + np.roll(p, -1))
-        d_omega[t] = 0.5 * np.abs(p - uniform).sum()
-        entropy[t] = shannon_entropy(p)
+    rows = [_spectrum_mixedness(p)]
+    for _ in range(steps):
+        p = _hop(p)
+        rows.append(_spectrum_mixedness(p))
+    d_omega, entropy = np.array(rows).T
     meta = {"kind": "classical", "d_s": d_s, "initial_site": s0}
     return ObservableSeries(np.arange(steps + 1), d_omega, entropy, meta)
 

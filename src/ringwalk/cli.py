@@ -186,9 +186,11 @@ def _merge_config(args, spec: dict) -> dict:
         if value is not None or default is not None:
             value = _cast(name, cast, value)
         params[name] = value
-    # Every command declares --steps.
+    # Every command declares --steps; the sampling commands declare --seed.
     if params["steps"] is not None and params["steps"] < 1:
         raise ConfigurationError(f"--steps must be >= 1, got {params['steps']}")
+    if params.get("seed", 0) < 0:
+        raise ConfigurationError(f"--seed must be >= 0, got {params['seed']}")
     return params
 
 

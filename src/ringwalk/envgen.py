@@ -158,6 +158,8 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         pairs = np.asarray(obj["entries"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"a matrix needs 'shape' and 'entries' lists ({exc!r})") from None
+    if any(n < 0 for n in shape):
+        raise ConfigurationError(f"a matrix shape must not be negative, got {list(shape)}")
     expected = int(np.prod(shape)) if shape else 0
     if pairs.shape != (expected, 2):
         raise DimensionMismatchError(

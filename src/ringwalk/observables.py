@@ -1,9 +1,9 @@
 """Reductions and scalar diagnostics of the walk state.
 
-Everything here is pure: subsystem density matrices, trace distance to
-the flat state, von Neumann entropy, the time-aggregated channel in Kraus
-form, and the random-state average of the subsystem entropy used as a
-reference value for the long-time entropy plateau.
+Everything here is pure: the per-step observer (distance of the position
+state to the flat state, and its entropy), subsystem density matrices, the
+time-aggregated channel in Kraus form, and the random-state subsystem
+entropy, a reference value for the long-time entropy plateau.
 """
 
 import math
@@ -17,8 +17,6 @@ from .errors import DimensionMismatchError, DomainError, NumericsError
 
 #: Dense Kraus extraction is for validation only; total dimension is capped.
 KRAUS_DIM_LIMIT = 4096
-
-_EIG_HARD_FLOOR = -1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,21 +41,8 @@ class DensityMatrix:
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.entries)
-
     def to_json(self) -> dict:
         return matrix_to_json(self.entries)
-
-
-def maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(dim, np.eye(dim, dtype=np.complex128) / dim)
-
-
-def reduce_to_position(state: PureState) -> DensityMatrix:
-    """Trace out coin and environment; O(d_s**2 * 2 * d_e)."""
-    a = state.amplitudes.reshape(state.d_s, 2 * state.d_e)
-    return DensityMatrix(state.d_s, a @ a.conj().T)
 
 
 def reduce_to_position_coin(state: PureState) -> DensityMatrix:
@@ -72,79 +57,35 @@ def position_distribution(state: PureState) -> np.ndarray:
     return np.einsum("sce,sce->s", tens, tens.conj()).real
 
 
-def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
-    """Half the sum of absolute eigenvalues of rho1 - rho2.
-
-    Exact for Hermitian differences, so no matrix square root iteration
-    is ever needed.
-    """
-    if rho1.dim != rho2.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {rho1.dim} vs {rho2.dim}")
-    delta = rho1.entries - rho2.entries
-    # Canonicalize the sign so both argument orders feed the eigensolver
-    # the identical matrix; negation is exact, so symmetry holds bitwise.
-    flat = delta.ravel()
-    nonzero = np.nonzero(flat)[0]
-    if nonzero.size:
-        lead = flat[nonzero[0]]
-        if (lead.real or lead.imag) < 0.0:
-            delta = -delta
-    eigvals = np.linalg.eigvalsh(delta)
-    return float(0.5 * np.abs(eigvals).sum())
-
-
-def distance_to_uniform(rho: DensityMatrix) -> float:
-    """Trace distance to the flat state diag(1/dim)."""
-    return trace_distance(rho, maximally_mixed(rho.dim))
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-Tr(rho ln rho) in nats, with 0 ln 0 := 0.
-
-    Eigenvalues are clamped to [0, 1]; anything below -1e-8 is treated as
-    a genuinely invalid density rather than rounding noise.
-    """
-    eigvals = rho.eigenvalues()
-    if eigvals[0] < _EIG_HARD_FLOOR:
-        raise NumericsError(
-            f"density matrix has eigenvalue {eigvals[0]:.3e} below {_EIG_HARD_FLOOR:g}"
-        )
-    return _spectrum_entropy(np.clip(eigvals, 0.0, 1.0))
-
-
 def position_mixedness(state: PureState) -> tuple[float, float]:
     """Distance to uniform and entropy of the position reduction.
 
     Shares one eigendecomposition between the two diagnostics (the flat
     state commutes with everything, so the difference spectrum is just the
-    shifted spectrum); agrees with the one-at-a-time operations to
-    rounding.  This is the per-step fast path of the series recorders.
+    shifted spectrum).  This is the library's one observer: the series
+    recorders call it at every step.
     """
     a = state.amplitudes.reshape(state.d_s, 2 * state.d_e)
     eigvals = np.linalg.eigvalsh(a @ a.conj().T)
-    if eigvals[0] < _EIG_HARD_FLOOR:
+    if eigvals[0] < -1e-8:  # further below zero than rounding reaches
         raise NumericsError(
-            f"position reduction has eigenvalue {eigvals[0]:.3e} below {_EIG_HARD_FLOOR:g}"
+            f"position reduction has eigenvalue {eigvals[0]:.3e} below -1e-8"
         )
     trace = eigvals.sum()  # the squared norm: the series' per-step norm check
     if not abs(trace - 1.0) <= 2e-10:  # written so that a NaN fails
         raise NumericsError(f"squared state norm must be 1 within 2e-10, got {float(trace)!r}")
-    dist = float(0.5 * np.abs(eigvals - 1.0 / state.d_s).sum())
-    return dist, _spectrum_entropy(np.clip(eigvals, 0.0, 1.0))
+    return _spectrum_mixedness(eigvals)
 
 
-def _spectrum_entropy(p: np.ndarray) -> float:
-    """-sum p ln p over the positive entries of ``p`` (0 ln 0 := 0)."""
-    pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum())
-
-
-def shannon_entropy(p: np.ndarray) -> float:
-    """Entropy in nats of a probability vector, with 0 ln 0 := 0."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.size and p.min() < -1e-12:
-        raise DomainError(f"probabilities must be nonnegative, min {p.min():.3e}")
-    return _spectrum_entropy(p)
+def _spectrum_mixedness(p: np.ndarray) -> tuple[float, float]:
+    """Distance to the flat spectrum ``1/p.size`` and entropy in nats of a
+    probability spectrum; the entropy sums -p ln p over the positive entries
+    of ``clip(p, 0, 1)``.  The classical series reads a site distribution, the
+    spectrum of a diagonal state, by this rule too."""
+    dist = float(0.5 * np.abs(p - 1.0 / p.size).sum())
+    pos = np.clip(p, 0.0, 1.0)
+    pos = pos[pos > 0.0]
+    return dist, float(-(pos * np.log(pos)).sum())
 
 
 def kraus_generators(model: WalkModel, t: int) -> list[np.ndarray]:

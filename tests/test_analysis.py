@@ -264,6 +264,15 @@ class TestQuenchAverage:
         with pytest.raises(ConfigurationError):
             quench_average(NonlocalTemplate(d_s=5, d_e=2), 0, 1, 10)
 
+    @pytest.mark.parametrize("base_seed", [-1, (3, -2)], ids=["seed", "point"])
+    def test_rejects_negative_seed_path_before_sampling(self, monkeypatch, base_seed):
+        template = NonlocalTemplate(d_s=5, d_e=2)
+        drawn = []
+        monkeypatch.setattr(NonlocalTemplate, "realize", lambda self, *path: drawn.append(path))
+        with pytest.raises(ConfigurationError, match="seed path"):
+            quench_average(template, 2, base_seed, 10)
+        assert drawn == []
+
 
 @pytest.fixture
 def two_blas_threads():

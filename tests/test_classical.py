@@ -6,13 +6,14 @@ import pytest
 from ringwalk import (
     ConfigurationError,
     DomainError,
+    PureState,
     classical_mixing_time,
     classical_series,
     classical_step,
-    shannon_entropy,
+    position_mixedness,
     spectral_mixing_time,
 )
-from oracles import classical_transition_matrix
+from oracles import classical_transition_matrix, shannon_entropy
 
 
 class TestClassicalStep:
@@ -89,6 +90,21 @@ class TestClassicalSeries:
     def test_rejects_even_sites(self):
         with pytest.raises(ConfigurationError):
             classical_series(4, 0, 10)
+
+    def test_rows_equal_quantum_observer_on_diagonal_state(self):
+        # Amplitude sqrt(p_s) at (s, c=0, e=s) gives the position reduction
+        # diag(p): the quantum observer must read the classical row for p.
+        d_s, d_e, steps = 11, 13, 40
+        series = classical_series(d_s, 3, steps)
+        p = np.zeros(d_s)
+        p[3] = 1.0
+        for t in range(steps + 1):
+            tens = np.zeros((d_s, 2, d_e), dtype=np.complex128)
+            tens[np.arange(d_s), 0, np.arange(d_s)] = np.sqrt(p)
+            d, h = position_mixedness(PureState(d_s, d_e, tens.reshape(-1)))
+            assert abs(d - series.d_omega[t]) <= 1e-14
+            assert abs(h - series.entropy[t]) <= 1e-14
+            p = classical_step(p)
 
 
 class TestMixingTime:

@@ -305,6 +305,16 @@ class TestConfigAndErrors:
         assert code == 2
         assert "is not valid JSON" in capsys.readouterr().err
 
+    def test_coin_file_with_negative_shape_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "coin.json"
+        path.write_text(json.dumps({"shape": [-1, -1], "entries": [[1, 0]]}))
+        code = run(
+            "simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2, "--steps", 5,
+            "--coin", path, "--output", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert "must not be negative" in capsys.readouterr().err
+
     def test_coin_file_without_shape_is_usage_error(self, tmp_path):
         path = tmp_path / "coin.json"
         path.write_text(json.dumps({"entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
@@ -339,6 +349,21 @@ class TestConfigAndErrors:
         assert run(*argv, "--steps", steps, "--output", tmp_path / "x.csv") == 2
         assert f"--steps must be >= 1, got {steps}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2, "--steps", 3),
+        ("simulate", "--model", "local", "--sites", 5, "--steps", 3,
+         "--theta0", 0.1, "--phi0", 0.0, "--theta1", 0.1, "--phi1", 1.0),
+        ("saturation-sweep", "--sites-list", "5", "--ratios", "2", "--samples", 2,
+         "--steps", 3),
+        ("mixing-sweep", "--sites", 5, "--env-dims", "2", "--samples", 2, "--steps", 60),
+    ], ids=["nonlocal", "local", "saturation-sweep", "mixing-sweep"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, argv):
+        assert run(*argv, "--seed", -1, "--output", tmp_path / "x.csv") == 2
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0, got -1" in err
+        assert "sample" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

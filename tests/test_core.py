@@ -29,6 +29,7 @@ from oracles import (
     dense_nonlocal_step,
     per_site_local_step,
     random_state_vector,
+    random_unitary,
     spatial_distribution,
 )
 
@@ -51,11 +52,6 @@ def random_nonlocal_model(d_s, d_e, seed, **kwargs):
 
 def random_pure_state(d_s, d_e, rng):
     return PureState(d_s, d_e, random_state_vector(d_s * 2 * d_e, rng))
-
-
-def random_unitary(n, rng):
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestPureState:

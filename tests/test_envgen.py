@@ -216,6 +216,13 @@ class TestMatrixJson:
         with pytest.raises(DimensionMismatchError):
             matrix_from_json({"shape": [2, 2], "entries": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("shape", [[-1, -1], [-2, 3], [2, -1]], ids=["-1x-1", "-2x3", "2x-1"])
+    def test_negative_dimension_rejected(self, shape):
+        # [-1, -1] has one entry by the pair count, so only the sign check stops it.
+        n = max(1, abs(int(np.prod(shape))))
+        with pytest.raises(ConfigurationError, match="must not be negative"):
+            matrix_from_json({"shape": shape, "entries": [[1.0, 0.0]] * n})
+
     def test_environment_file_round_trip(self, tmp_path):
         e0, e1 = sample_environment_pair(3, 1.0, rng_stream(21))
         path = tmp_path / "env.json"
