@@ -17,10 +17,9 @@ from pathlib import Path
 from ringwalk import (
     NonlocalTemplate,
     classical_series,
-    fit_exponential_mixing,
+    mixing_fit,
     plateau_summary,
     quench_average,
-    select_fit_window,
 )
 
 OUTDIR = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("demo_output")
@@ -44,8 +43,7 @@ def main():
     for d_e in (32, 64, 256):
         result = quench_average(NonlocalTemplate(d_s=D_S, d_e=d_e), SAMPLES, (SEED, d_e), STEPS)
         summary = plateau_summary(result)
-        window = select_fit_window(result.mean)
-        tau = fit_exponential_mixing(result.mean, window).params["tau_mix"]
+        tau = mixing_fit(result.mean).params["tau_mix"]
         curves[f"d_b={2 * d_e}"] = result.mean
         print(
             f"  bath d_b={2 * d_e:4d}: mixing time ~{tau:6.1f} steps, "
@@ -57,8 +55,7 @@ def main():
     classical = classical_series(D_S, 0, STEPS)
     curves["classical"] = classical
     csv_dump(OUTDIR / "relaxation_classical.csv", classical)
-    window = select_fit_window(classical)
-    tau_cl = fit_exponential_mixing(classical, window).params["tau_mix"]
+    tau_cl = mixing_fit(classical).params["tau_mix"]
     print(f"  classical walk:  mixing time ~{tau_cl:6.1f} steps, decays to zero")
     print(f"\nseries written to {OUTDIR}/relaxation_*.csv")
 

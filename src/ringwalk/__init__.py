@@ -20,6 +20,7 @@ from .analysis import (
     fit_exponential_mixing,
     fit_power_law,
     long_time_average,
+    mixing_fit,
     plateau_summary,
     quench_average,
     select_fit_window,

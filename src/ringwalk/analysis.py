@@ -181,6 +181,11 @@ def fit_exponential_mixing(series: ObservableSeries, window: tuple[int, int]) ->
     )
 
 
+def mixing_fit(series: ObservableSeries) -> FitResult:
+    """The relaxation fit: the exponential fit over the window ``select_fit_window`` picks."""
+    return fit_exponential_mixing(series, select_fit_window(series))
+
+
 def long_time_average(series: ObservableSeries, t0: int, t: int) -> float:
     """Mean of d_omega over [t0, t] inclusive (denominator t - t0 + 1)."""
     t0, t = int(t0), int(t)
@@ -353,9 +358,8 @@ def plateau_summary(result: QuenchResult) -> PlateauSummary:
     series = result.mean
     last = series.steps
     try:
-        window = select_fit_window(series)
-        fit = fit_exponential_mixing(series, window)
-        t0 = default_average_start(series, window, fit.params["tau_mix"])
+        fit = mixing_fit(series)
+        t0 = default_average_start(series, fit.window, fit.params["tau_mix"])
     except (FitWindowError, DomainError):
         t0 = last // 2
     d_mean = long_time_average(series, t0, last)

@@ -11,12 +11,7 @@ import math
 
 import numpy as np
 
-from .analysis import (
-    FitResult,
-    ObservableSeries,
-    fit_exponential_mixing,
-    select_fit_window,
-)
+from .analysis import FitResult, ObservableSeries, mixing_fit
 from .core import _check_sites, _check_steps
 from .errors import ConfigurationError, DomainError
 from .observables import _spectrum_mixedness
@@ -65,12 +60,9 @@ def spectral_mixing_time(d_s: int) -> float:
     return -1.0 / math.log(math.cos(math.pi / d_s))
 
 
-def classical_mixing_time(d_s: int, steps: int | None = None) -> tuple[FitResult, float]:
-    """Exponential-fit mixing time with the quantum pipeline's fitter and
-    window policy, plus the spectral prediction for cross-checking."""
+def classical_mixing_time(d_s: int) -> tuple[FitResult, float]:
+    """Mixing time by the quantum pipeline's ``mixing_fit`` over max(200, ceil(9 *
+    spectral)) steps, plus the spectral prediction for cross-checking."""
     spectral = spectral_mixing_time(d_s)
-    if steps is None:
-        steps = max(200, math.ceil(9.0 * spectral))
-    series = classical_series(d_s, 0, steps)
-    window = select_fit_window(series)
-    return fit_exponential_mixing(series, window), spectral
+    series = classical_series(d_s, 0, max(200, math.ceil(9.0 * spectral)))
+    return mixing_fit(series), spectral

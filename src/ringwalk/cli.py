@@ -37,15 +37,14 @@ from . import __version__
 from .analysis import (
     NonlocalTemplate,
     ObservableSeries,
-    fit_exponential_mixing,
     fit_power_law,
+    mixing_fit,
     plateau_summary,
     quench_average,
-    select_fit_window,
     walk_series,
 )
 from .classical import classical_mixing_time, classical_series
-from .core import HADAMARD, PLUS_I_COIN, LocalEnvironment, WalkModel, _json_input
+from .core import HADAMARD, PLUS_I_COIN, LocalEnvironment, WalkModel, _json_input, _write_file
 from .envgen import GateAngles, make_local_gate, matrix_from_json
 from .errors import (
     ConfigurationError,
@@ -76,18 +75,6 @@ def _sibling(path: Path, suffix: str) -> Path:
     return path.with_name(path.stem + suffix)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Replace ``path`` atomically: readers see the old file or the new one."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # a no-op once the replace has succeeded
-
-
 def _series_csv(series: ObservableSeries, std=None) -> str:
     lines = ["t,d_omega,entropy" + (",d_omega_std" if std is not None else "")]
     for i in range(series.t.size):
@@ -102,10 +89,10 @@ def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit_text=N
     """Write the CSV, its ``.fit.json`` if any, then its manifest; print the CSV path."""
     csv_path = _resolve_output(args, name)
     outputs = {"csv": csv_path}
-    _write_text(csv_path, csv_text)
+    _write_file(csv_path, csv_text.encode())
     if fit_text is not None:
         outputs["fit"] = _sibling(csv_path, ".fit.json")
-        _write_text(outputs["fit"], fit_text)
+        _write_file(outputs["fit"], fit_text.encode())
     doc = {
         "command": args.command,
         "parameters": params,
@@ -117,7 +104,7 @@ def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit_text=N
         **(extra or {}),
     }
     manifest = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_text(_sibling(csv_path, ".manifest.json"), manifest)
+    _write_file(_sibling(csv_path, ".manifest.json"), manifest.encode())
     print(csv_path)
     return 0
 
@@ -224,7 +211,7 @@ def cmd_simulate(args, p: dict) -> int:
         )
         result = quench_average(template, samples, seed, steps)
         text = _series_csv(result.mean, result.d_omega_std if samples > 1 else None)
-        extra["sample_seed_paths"] = [[seed, k] for k in range(samples)]
+        extra["sample_seed_paths"] = [s.metadata["seed_path"] for s in result.samples]
         extra["blas_threads"] = result.blas_threads
         name = f"simulate_nonlocal_s{sites}_e{p['env_dim']}_t{steps}_k{samples}_seed{seed}.csv"
     elif p["model"] == "local":
@@ -252,26 +239,30 @@ def cmd_classical(args, p: dict) -> int:
     return _finish(args, p, f"classical_s{sites}_t{steps}.csv", text)
 
 
+def _sweep(p: dict, grid: list):
+    """Quench-average each (d_s, d_e) point j of ``grid``, in order, from streams (seed, j, k)."""
+    # Every point is checked before the first sample is drawn.
+    templates = [NonlocalTemplate(d_s=d_s, d_e=d_e, spread=p["spread"]) for d_s, d_e in grid]
+    for j, ((d_s, d_e), template) in enumerate(zip(grid, templates)):
+        result = quench_average(template, p["samples"], (p["seed"], j), p["steps"])
+        yield d_s, d_e, result, {"d_e": d_e, "index": j, "blas_threads": result.blas_threads}
+
+
 def cmd_mixing_sweep(args, p: dict) -> int:
     _require(p, "sites", "env_dims", "steps")
     sites, seed = p["sites"], p["seed"]
-    # Every point is checked before the first sample is drawn.
-    templates = [NonlocalTemplate(d_s=sites, d_e=d_e, spread=p["spread"]) for d_e in p["env_dims"]]
-
     rows = ["d_b,tau_mix,tau_err"]
     point_log = []
-    for j, (d_e, template) in enumerate(zip(p["env_dims"], templates)):
-        result = quench_average(template, p["samples"], (seed, j), p["steps"])
+    for _, d_e, result, entry in _sweep(p, [(sites, d_e) for d_e in p["env_dims"]]):
         try:
-            window = select_fit_window(result.mean)
-            fit = fit_exponential_mixing(result.mean, window)
+            fit = mixing_fit(result.mean)
             tau, err = fit.params["tau_mix"], fit.std_errors["tau_mix"]
-            point = {"window": list(window)}
+            entry["window"] = list(fit.window)
         except (FitWindowError, DomainError) as exc:
             # Degrade per point instead of aborting the sweep.
             tau, err = math.nan, math.nan
-            point = {"error": str(exc)}
-        point_log.append({"d_e": d_e, "index": j, "blas_threads": result.blas_threads, **point})
+            entry["error"] = str(exc)
+        point_log.append(entry)
         rows.append(f"{2 * d_e},{_fmt(tau)},{_fmt(err)}")
 
     fit_cl, spectral = classical_mixing_time(sites)
@@ -307,22 +298,18 @@ def cmd_saturation_sweep(args, p: dict) -> int:
                 grid.append((d_s, d_e))
     else:
         grid = [(d_s, d_e) for d_s in sites_list for d_e in p["env_dims"]]
-    # Every point is checked before the first sample is drawn.
-    templates = [NonlocalTemplate(d_s=d_s, d_e=d_e, spread=p["spread"]) for d_s, d_e in grid]
 
     rows = ["d_s,d_b,ratio,mean_d,std_d"]
     fit_points = []
     point_log = []
-    for j, ((d_s, d_e), template) in enumerate(zip(grid, templates)):
-        result = quench_average(template, p["samples"], (p["seed"], j), p["steps"])
+    for d_s, d_e, result, entry in _sweep(p, grid):
         summary = plateau_summary(result)
         d_b = 2 * d_e
         ratio = d_b / d_s
         rows.append(
             f"{d_s},{d_b},{_fmt(ratio)},{_fmt(summary.d_omega_mean)},{_fmt(summary.d_omega_std)}"
         )
-        point_log.append({"d_s": d_s, "d_e": d_e, "index": j, "t_start": summary.t_start,
-                          "blas_threads": result.blas_threads})
+        point_log.append({"d_s": d_s, "t_start": summary.t_start, **entry})
         if d_b > d_s:
             fit_points.append((ratio, summary.d_omega_mean))
 

@@ -20,7 +20,9 @@ run, and ``evolve`` checks the norm of the state it returns.
 
 import functools
 import json
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -96,6 +98,19 @@ def _json_input(data: bytes, source) -> object:
         return json.loads(data.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigurationError(f"{source} is not valid JSON: {exc}") from None
+
+
+def _write_file(path, data: bytes) -> None:
+    """Replace ``path`` atomically (making its directory): readers see the old or the new file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # a no-op once the replace has succeeded
 
 
 def _check_sites(d_s: int) -> None:
@@ -244,7 +259,7 @@ class WalkModel:
         return env
 
     def describe(self) -> dict:
-        """Plain-dict summary used in series metadata and run manifests."""
+        """Plain-dict summary recorded in the metadata of a walk's series."""
         kind = "local" if isinstance(self.environment, LocalEnvironment) else "nonlocal"
         return {
             "kind": kind,
@@ -372,14 +387,11 @@ def evolve(model: WalkModel, steps: int, observer=None) -> PureState:
 
 
 def write_snapshot(state: PureState, path) -> None:
-    """Checkpoint a state: one JSON header line, then raw little-endian
-    float64 (re, im) pairs in flat-index order."""
+    """Checkpoint a state, replacing ``path`` atomically: one JSON header line, then
+    raw little-endian float64 (re, im) pairs in flat-index order."""
     header = {"d_S": state.d_s, "d_E": state.d_e, "layout": SNAPSHOT_LAYOUT}
     payload = np.ascontiguousarray(state.amplitudes).view(np.float64).astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload.tobytes())
+    _write_file(path, json.dumps(header, sort_keys=True).encode() + b"\n" + payload.tobytes())
 
 
 def read_snapshot(path) -> PureState:
@@ -390,10 +402,9 @@ def read_snapshot(path) -> PureState:
     layout = header.get("layout") if isinstance(header, dict) else None
     if layout != SNAPSHOT_LAYOUT:
         raise ConfigurationError(f"unsupported snapshot layout {layout!r}")
-    try:
-        d_s, d_e = int(header["d_S"]), int(header["d_E"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ConfigurationError(f"snapshot header needs integer d_S and d_E: {header}") from None
+    d_s, d_e = header.get("d_S"), header.get("d_E")
+    if type(d_s) is not int or type(d_e) is not int:
+        raise ConfigurationError(f"snapshot header needs integer d_S and d_E: {header}")
     floats = np.frombuffer(raw, dtype="<f8")
     if floats.size != 2 * d_s * 2 * d_e:
         raise DimensionMismatchError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _json_input
+from .core import _json_input, _write_file
 from .errors import ConfigurationError, DimensionMismatchError, DomainError, NumericsError
 
 _TWO_PI = 2.0 * math.pi
@@ -154,12 +154,14 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        shape = tuple(int(n) for n in obj["shape"])
+        shape = obj["shape"]
         pairs = np.asarray(obj["entries"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"a matrix needs 'shape' and 'entries' lists ({exc!r})") from None
+    if type(shape) is not list or any(type(n) is not int for n in shape):
+        raise ConfigurationError(f"a matrix shape must be a list of integers, got {shape!r}")
     if any(n < 0 for n in shape):
-        raise ConfigurationError(f"a matrix shape must not be negative, got {list(shape)}")
+        raise ConfigurationError(f"a matrix shape must not be negative, got {shape}")
     expected = int(np.prod(shape)) if shape else 0
     if pairs.shape != (expected, 2):
         raise DimensionMismatchError(
@@ -171,9 +173,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 def save_environment(path, e0: np.ndarray, e1: np.ndarray) -> None:
     """Export a branch-matrix pair so an exact environment can be re-run."""
     doc = {"e0": matrix_to_json(e0), "e1": matrix_to_json(e1)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    _write_file(path, (json.dumps(doc) + "\n").encode())
 
 
 def load_environment(path) -> tuple[np.ndarray, np.ndarray]:

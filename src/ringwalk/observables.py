@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import PureState, WalkModel, evolve
-from .envgen import matrix_to_json
 from .errors import DimensionMismatchError, DomainError, NumericsError
 
 #: Dense Kraus extraction is for validation only; total dimension is capped.
@@ -40,9 +39,6 @@ class DensityMatrix:
             raise NumericsError(f"trace must be 1 within 1e-10, got {tr!r}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-
-    def to_json(self) -> dict:
-        return matrix_to_json(self.entries)
 
 
 def reduce_to_position_coin(state: PureState) -> DensityMatrix:

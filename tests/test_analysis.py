@@ -15,6 +15,7 @@ from ringwalk import (
     fit_exponential_mixing,
     fit_power_law,
     long_time_average,
+    mixing_fit,
     quench_average,
     select_fit_window,
     walk_series,
@@ -70,6 +71,23 @@ class TestSelectFitWindow:
         series = synthetic_series(np.exp(-t / 40.0), metadata={"d_s": 51})
         t1, _ = select_fit_window(series)
         assert t1 >= 26  # ceil(51 / 2)
+
+
+class TestMixingFit:
+    def test_is_the_window_then_fit_pair(self):
+        t = np.arange(301)
+        series = synthetic_series(0.8 * np.exp(-t / 25.0) + 0.05, metadata={"d_s": 11})
+        assert mixing_fit(series) == fit_exponential_mixing(series, select_fit_window(series))
+
+    def test_raises_where_the_window_rule_does(self):
+        with pytest.raises(FitWindowError):
+            mixing_fit(synthetic_series(np.full(100, 0.5)))
+
+    def test_rules_are_looked_up_in_the_module(self, monkeypatch):
+        # The benchmark tracer wraps these module attributes.
+        monkeypatch.setattr(analysis, "select_fit_window", lambda series: (2, 40))
+        series = synthetic_series(np.exp(-np.arange(200) / 10.0))
+        assert mixing_fit(series).window == (2, 40)
 
 
 class TestFitExponential:

@@ -315,6 +315,17 @@ class TestConfigAndErrors:
         assert code == 2
         assert "must not be negative" in capsys.readouterr().err
 
+    def test_coin_file_with_float_shape_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "coin.json"
+        identity = {"shape": [2.0, 2.0], "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+        path.write_text(json.dumps(identity))
+        code = run(
+            "simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2, "--steps", 5,
+            "--coin", path, "--output", tmp_path / "x.csv",
+        )
+        assert code == 2
+        assert "must be a list of integers" in capsys.readouterr().err
+
     def test_coin_file_without_shape_is_usage_error(self, tmp_path):
         path = tmp_path / "coin.json"
         path.write_text(json.dumps({"entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
@@ -442,7 +453,7 @@ class TestConfigAndErrors:
             fh = real_open(file, mode, *args, **kwargs)
             return HalfWriter(fh) if "w" in mode else fh
 
-        monkeypatch.setattr("ringwalk.cli.open", failing_open, raising=False)
+        monkeypatch.setattr("ringwalk.core.open", failing_open, raising=False)
         code = run(
             "simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2,
             "--steps", 10, "--output", target,

@@ -458,6 +458,20 @@ class TestSnapshot:
             header = json.loads(fh.readline())
         assert header == {"d_S": 3, "d_E": 1, "layout": "e+d_E*(c+2s)"}
 
+    def test_write_makes_missing_directory(self, tmp_path):
+        state = init_state(bare_model(3))
+        path = tmp_path / "new" / "state.snap"
+        write_snapshot(state, path)
+        assert np.array_equal(read_snapshot(path).amplitudes, state.amplitudes)
+
+    def test_failed_write_leaves_old_file_intact(self, tmp_path, full_disk):
+        path = tmp_path / "state.snap"
+        path.write_bytes(b"old snapshot\n")
+        with pytest.raises(OSError):
+            write_snapshot(init_state(bare_model(3)), path)
+        assert path.read_bytes() == b"old snapshot\n"
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left
+
     def test_truncated_payload_rejected(self, tmp_path):
         state = init_state(bare_model(3))
         path = tmp_path / "state.snap"
@@ -472,7 +486,9 @@ class TestSnapshot:
         b'{"d_E": 1, "layout": "e+d_E*(c+2s)"}',
         b'{"d_S": "three", "d_E": 1, "layout": "e+d_E*(c+2s)"}',
         b"[3, 1]",
-    ], ids=["not-json", "no-d_S", "non-integer-d_S", "not-an-object"])
+        b'{"d_S": 3.5, "d_E": 1, "layout": "e+d_E*(c+2s)"}',
+        b'{"d_S": 3, "d_E": true, "layout": "e+d_E*(c+2s)"}',
+    ], ids=["not-json", "no-d_S", "non-integer-d_S", "not-an-object", "float-d_S", "bool-d_E"])
     def test_malformed_header_rejected(self, tmp_path, header):
         state = init_state(bare_model(3))
         path = tmp_path / "state.snap"

@@ -223,6 +223,12 @@ class TestMatrixJson:
         with pytest.raises(ConfigurationError, match="must not be negative"):
             matrix_from_json({"shape": shape, "entries": [[1.0, 0.0]] * n})
 
+    @pytest.mark.parametrize("shape, n", [([2.7, 2], 4), ([True, True], 1), ("22", 4)],
+                             ids=["float", "bool", "string"])
+    def test_non_integer_shape_rejected(self, shape, n):
+        with pytest.raises(ConfigurationError, match="must be a list of integers"):
+            matrix_from_json({"shape": shape, "entries": [[1.0, 0.0]] * n})
+
     def test_environment_file_round_trip(self, tmp_path):
         e0, e1 = sample_environment_pair(3, 1.0, rng_stream(21))
         path = tmp_path / "env.json"
@@ -232,6 +238,21 @@ class TestMatrixJson:
         back0, back1 = load_environment(path)
         assert np.array_equal(back0, e0)
         assert np.array_equal(back1, e1)
+
+    def test_environment_file_write_makes_missing_directory(self, tmp_path):
+        e0, e1 = sample_environment_pair(3, 1.0, rng_stream(21))
+        path = tmp_path / "new" / "env.json"
+        save_environment(path, e0, e1)
+        assert np.array_equal(load_environment(path)[1], e1)
+
+    def test_failed_environment_write_leaves_old_file_intact(self, tmp_path, full_disk):
+        e0, e1 = sample_environment_pair(3, 1.0, rng_stream(21))
+        path = tmp_path / "env.json"
+        path.write_text("old environment\n")
+        with pytest.raises(OSError):
+            save_environment(path, e0, e1)
+        assert path.read_text() == "old environment\n"
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
     @pytest.mark.parametrize("text", [
         '{"e0": {"shape": [1, 1], "entries": [[1.0, 0.0]]}, "e1": ',

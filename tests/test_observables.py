@@ -24,7 +24,7 @@ from ringwalk import (
     rng_stream,
     sample_environment_pair,
 )
-from ringwalk.envgen import GateAngles, matrix_from_json
+from ringwalk.envgen import GateAngles, matrix_from_json, matrix_to_json
 from oracles import (
     distance_to_uniform,
     eigenvalues,
@@ -68,7 +68,7 @@ class TestDensityMatrix:
 
     def test_json_round_trip(self):
         rho = random_density(4, np.random.default_rng(0))
-        back = matrix_from_json(rho.to_json())
+        back = matrix_from_json(matrix_to_json(rho.entries))
         assert np.array_equal(back, rho.entries)
 
 
