@@ -258,16 +258,25 @@ class NonlocalTemplate:
         _check_walk_inputs(self)
 
     def realize(self, seed: int, *path: int) -> WalkModel:
-        """Draw branch matrices from the stream (seed, *path) and build the model."""
-        rng = rng_stream(seed, *path)
-        e0, e1 = sample_environment_pair(self.d_e, self.spread, rng)
+        """Draw branch matrices from the stream (seed, *path) and build the model
+        in the eigenbasis ``V0`` of the drawn ``E0``.
+
+        The model's ``e0`` is the eigenphases of ``E0`` (a diagonal), its ``e1``
+        is ``V0^H E1 V0`` and its initial environment ``V0^H`` times the
+        template's (basis state 0 by default).  A change of bath basis leaves
+        the walker's reduced state, and so every series, unchanged; it makes a
+        step one dense product instead of two.
+        """
+        pair = sample_environment_pair(self.d_e, self.spread, rng_stream(seed, *path))
+        phases, e1, to_basis = pair.in_e0_eigenbasis()
+        env = to_basis[:, 0] if self.initial_env is None else to_basis @ self.initial_env
         return WalkModel(
             d_s=self.d_s,
-            environment=NonlocalEnvironment(e0, e1),
+            environment=NonlocalEnvironment(phases, e1),
             coin=self.coin,
             initial_site=self.initial_site,
             initial_coin=self.initial_coin,
-            initial_env=self.initial_env,
+            initial_env=env,
             seed=seed,
         )
 
@@ -286,8 +295,10 @@ class QuenchResult:
 
 #: Quench points with ``d_e`` up to this run at one BLAS thread.  Up to it a
 #: second thread made no sample faster (11x64 to 151x64 on a 2-vCPU VM), and
-#: the idle worker spin-waits on another core; from ``d_e = 96`` on, threads
-#: start to pay (1.4x at ``d_e = 320``).
+#: the idle worker spin-waits on another core.  With one dense product per
+#: step, one thread took 0.87-1.07x the two-thread wall time of a 500-step
+#: sample at 51x96 and 1.11-1.43x at 51x320 (medians of 5 and 9 alternating
+#: pairs, two runs each, on that VM): threads start to pay above ``d_e = 96``.
 ONE_BLAS_THREAD_MAX_D_E = 64
 
 

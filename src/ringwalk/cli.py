@@ -213,6 +213,7 @@ def cmd_simulate(args, p: dict) -> int:
         text = _series_csv(result.mean, result.d_omega_std if samples > 1 else None)
         extra["sample_seed_paths"] = [s.metadata["seed_path"] for s in result.samples]
         extra["blas_threads"] = result.blas_threads
+        extra["bath_basis"] = result.mean.metadata["bath_basis"]
         name = f"simulate_nonlocal_s{sites}_e{p['env_dim']}_t{steps}_k{samples}_seed{seed}.csv"
     elif p["model"] == "local":
         _require(p, "theta0", "phi0", "theta1", "phi1")
@@ -245,7 +246,12 @@ def _sweep(p: dict, grid: list):
     templates = [NonlocalTemplate(d_s=d_s, d_e=d_e, spread=p["spread"]) for d_s, d_e in grid]
     for j, ((d_s, d_e), template) in enumerate(zip(grid, templates)):
         result = quench_average(template, p["samples"], (p["seed"], j), p["steps"])
-        yield d_s, d_e, result, {"d_e": d_e, "index": j, "blas_threads": result.blas_threads}
+        yield d_s, d_e, result, {
+            "d_e": d_e,
+            "index": j,
+            "blas_threads": result.blas_threads,
+            "bath_basis": result.mean.metadata["bath_basis"],
+        }
 
 
 def cmd_mixing_sweep(args, p: dict) -> int:

@@ -7,9 +7,13 @@ matrix product, which dominates the per-step cost.
 
 Two couplings are supported.  In the nonlocal model the walker drags a
 single shared environment through one of two unitaries ``E0``/``E1``
-depending on the coin branch.  In the local model every site carries its
-own qubit and the branch gates ``G0``/``G1`` act only on the qubit of the
-currently occupied site, so the environment dimension is ``2**d_s``.
+depending on the coin branch.  Either may be given as a dense matrix or,
+in a bath basis where it is diagonal, as its vector of phases.  A quench
+sample walks in the eigenbasis of its ``E0`` (``NonlocalTemplate.realize``),
+so its step is one dense product and one phase multiply.  In the local
+model every site carries its own qubit and the branch gates ``G0``/``G1``
+act only on the qubit of the currently occupied site, so the environment
+dimension is ``2**d_s``.
 
 Neither step operator ever materializes the full evolution matrix; one
 step costs O(d_s * d_e**2) (nonlocal) or O(d_s * 2**d_s) (local), the latter
@@ -71,6 +75,22 @@ def _unitary_input(name: str, a, shape: tuple | None = None) -> np.ndarray:
     tol = _UNITARY_TOL
     if not (frob <= tol or (frob / np.sqrt(u.shape[0]) <= tol and np.linalg.norm(gram, 2) <= tol)):
         raise ConfigurationError(f"{name} is not unitary within {tol:g} (deviation ~{frob:.3e})")
+    u.setflags(write=False)
+    return u
+
+
+def _branch_input(name: str, a) -> np.ndarray:
+    """A nonlocal branch unitary, read-only: a ``(d_e,)`` vector of unit-modulus
+    phases (a diagonal unitary) or a unitary ``(d_e, d_e)`` matrix."""
+    u = _as_complex(a, name)
+    if u.ndim != 1:
+        return _unitary_input(name, u)
+    defect = np.max(np.abs(np.abs(u) - 1.0), initial=0.0)
+    if not defect <= _UNITARY_TOL:  # written so that a NaN phase fails
+        raise ConfigurationError(
+            f"{name} as a diagonal needs entries of modulus 1 within {_UNITARY_TOL:g} "
+            f"(deviation {defect:.3e})"
+        )
     u.setflags(write=False)
     return u
 
@@ -179,17 +199,21 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class NonlocalEnvironment:
-    """Shared environment transformed by e0 (left branch) or e1 (right branch)."""
+    """Shared environment transformed by e0 (left branch) or e1 (right branch).
+
+    Each branch is a unitary ``(d_e, d_e)`` matrix or a ``(d_e,)`` vector of
+    unit-modulus phases, which stands for the diagonal unitary.
+    """
 
     e0: np.ndarray
     e1: np.ndarray
 
     def __post_init__(self):
-        e0 = _unitary_input("e0", self.e0)
-        e1 = _unitary_input("e1", self.e1)
-        if e0.shape != e1.shape:
+        e0 = _branch_input("e0", self.e0)
+        e1 = _branch_input("e1", self.e1)
+        if e0.shape[0] != e1.shape[0]:
             raise ConfigurationError(
-                f"e0 and e1 must have equal shape, got {e0.shape} and {e1.shape}"
+                f"e0 and e1 must act on one environment, got shapes {e0.shape} and {e1.shape}"
             )
         object.__setattr__(self, "e0", e0)
         object.__setattr__(self, "e1", e1)
@@ -261,7 +285,7 @@ class WalkModel:
     def describe(self) -> dict:
         """Plain-dict summary recorded in the metadata of a walk's series."""
         kind = "local" if isinstance(self.environment, LocalEnvironment) else "nonlocal"
-        return {
+        info = {
             "kind": kind,
             "d_s": self.d_s,
             "d_e": self.d_e,
@@ -269,6 +293,10 @@ class WalkModel:
             "initial_site": self.initial_site,
             "seed": self.seed,
         }
+        if kind == "nonlocal":
+            diagonal = self.environment.e0.ndim == 1
+            info["bath_basis"] = "e0 eigenbasis" if diagonal else "as given"
+        return info
 
 
 def init_state(model: WalkModel) -> PureState:
@@ -297,6 +325,12 @@ def _coin_flip(coin: np.ndarray, state: PureState) -> np.ndarray:
     return (coin @ state.tensor()).transpose(1, 0, 2)
 
 
+def _apply_branch(v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``u`` applied to the env index of the (site, env) block ``v``: a phase
+    multiply for a diagonal ``u``, one matrix product for a dense one."""
+    return v * u if u.ndim == 1 else v @ u.T
+
+
 def step_nonlocal(
     state: PureState, coin: np.ndarray, e0: np.ndarray, e1: np.ndarray
 ) -> PureState:
@@ -304,15 +338,17 @@ def step_nonlocal(
 
     Coin flip per (site, environment) block, then the branch unitary on
     the environment, then the conditional cyclic shift (left for coin 0,
-    right for coin 1).
+    right for coin 1).  Each branch is a ``(d_e, d_e)`` matrix or a
+    ``(d_e,)`` diagonal.
     """
     d_e = state.d_e
-    if e0.shape != (d_e, d_e) or e1.shape != (d_e, d_e):
+    if e0.shape not in ((d_e,), (d_e, d_e)) or e1.shape not in ((d_e,), (d_e, d_e)):
         raise DimensionMismatchError(
-            f"environment matrices must be {d_e}x{d_e}, got {e0.shape} and {e1.shape}"
+            f"environment branches must be {d_e}x{d_e} or diagonals of length {d_e}, "
+            f"got {e0.shape} and {e1.shape}"
         )
     mixed = _coin_flip(coin, state)
-    return _shift(state.d_s, mixed[0] @ e0.T, mixed[1] @ e1.T)
+    return _shift(state.d_s, _apply_branch(mixed[0], e0), _apply_branch(mixed[1], e1))
 
 
 @functools.lru_cache(maxsize=LOCAL_SITE_LIMIT)

@@ -2,11 +2,12 @@
 
 Nonlocal environments use random Hermitian generators with entries drawn
 uniformly from a square of half-width ``spread`` around 0+0i, exponentiated
-to unitaries.  Local environments use the two-angle qubit rotation
-``gate(theta, phi)``.  The noncommutativity of the two branch matrices,
-measured by ``commutator_norm``, controls how strongly the walker couples
-to the environment; commuting matrices leave the spatial distribution
-untouched.
+to unitaries; a drawn pair keeps each unitary's eigensystem, so a quench can
+walk in the eigenbasis of ``e0`` with no second ``eigh``.  Local
+environments use the two-angle qubit rotation ``gate(theta, phi)``.  The
+noncommutativity of the two branch matrices, measured by
+``commutator_norm``, controls how strongly the walker couples to the
+environment; commuting matrices leave the spatial distribution untouched.
 """
 
 import json
@@ -79,8 +80,8 @@ def sample_hermitian(d_e: int, spread: float, rng: np.random.Generator) -> np.nd
     return h
 
 
-def exponentiate_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) for Hermitian h, via eigendecomposition."""
+def _exp_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(phases, basis)`` with exp(-i h) = basis @ diag(phases) @ basis^H, for Hermitian h."""
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {h.shape}")
@@ -94,16 +95,53 @@ def exponentiate_hermitian(h: np.ndarray) -> np.ndarray:
             f"eigendecomposition failed for {h.shape[0]}x{h.shape[0]} matrix "
             f"(max |entry| {np.abs(h).max():.3e}): {exc}"
         ) from exc
-    return (eigvecs * np.exp(-1j * eigvals)) @ eigvecs.conj().T
+    return np.exp(-1j * eigvals), eigvecs
 
 
-def sample_environment_pair(
-    d_e: int, spread: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the two branch unitaries of a nonlocal environment."""
-    e0 = exponentiate_hermitian(sample_hermitian(d_e, spread, rng))
-    e1 = exponentiate_hermitian(sample_hermitian(d_e, spread, rng))
-    return e0, e1
+def _from_eigensystem(phases: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    return (basis * phases) @ basis.conj().T
+
+
+def exponentiate_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for Hermitian h, via eigendecomposition."""
+    return _from_eigensystem(*_exp_eigensystem(h))
+
+
+@dataclass(frozen=True, eq=False)
+class EnvironmentPair:
+    """The two branch unitaries of a nonlocal environment, each kept as the
+    ``(phases, basis)`` of the ``eigh`` that built it:
+    ``e_b = basis @ diag(phases) @ basis^H``.
+
+    It unpacks to the dense ``(e0, e1)``, built on unpacking; a caller that
+    walks in the eigenbasis of e0 takes ``in_e0_eigenbasis()`` instead and
+    never builds them.
+    """
+
+    e0_eigen: tuple[np.ndarray, np.ndarray]
+    e1_eigen: tuple[np.ndarray, np.ndarray]
+
+    def __iter__(self):
+        return (_from_eigensystem(*eigen) for eigen in (self.e0_eigen, self.e1_eigen))
+
+    def in_e0_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(phases, e1, to_basis)`` in the eigenbasis ``V0`` of e0: e0 is the diagonal
+        of its ``phases``, e1 is ``V0^H e1 V0`` and ``to_basis = V0^H`` takes an
+        environment vector there.  Two ``d_e x d_e`` products, no ``eigh``."""
+        phases0, basis0 = self.e0_eigen
+        to_basis = basis0.conj().T
+        phases1, basis1 = self.e1_eigen
+        return phases0, _from_eigensystem(phases1, to_basis @ basis1), to_basis
+
+
+def sample_environment_pair(d_e: int, spread: float, rng: np.random.Generator) -> EnvironmentPair:
+    """Draw the two branch unitaries of a nonlocal environment.
+
+    ``e0, e1 = sample_environment_pair(...)`` gives them dense;
+    ``in_e0_eigenbasis()`` gives them in the eigenbasis of e0.
+    """
+    e0_eigen = _exp_eigensystem(sample_hermitian(d_e, spread, rng))
+    return EnvironmentPair(e0_eigen, _exp_eigensystem(sample_hermitian(d_e, spread, rng)))
 
 
 def make_local_gate(angles: GateAngles) -> np.ndarray:

@@ -229,6 +229,20 @@ class TestNonlocalTemplate:
             WalkModel(5, NonlocalEnvironment(np.eye(2), np.eye(2)), coin=coin)
         assert str(from_template.value) == str(from_model.value)
 
+    @pytest.mark.parametrize("initial_env", [None, [0.6, 0.0, 0.8j]])
+    def test_realize_walks_in_the_eigenbasis_of_e0(self, initial_env):
+        from ringwalk import rng_stream, sample_environment_pair
+
+        model = NonlocalTemplate(d_s=5, d_e=3, initial_env=initial_env).realize(31, 2)
+        pair = sample_environment_pair(3, 1.0, rng_stream(31, 2))
+        phases, basis = pair.e0_eigen
+        _, e1 = pair
+        start = np.eye(3)[0] if initial_env is None else np.asarray(initial_env)
+        assert np.array_equal(model.environment.e0, phases)
+        assert np.abs(model.environment.e1 - basis.conj().T @ e1 @ basis).max() < 1e-14
+        assert np.abs(model.initial_env - basis.conj().T @ start).max() < 1e-15
+        assert model.describe()["bath_basis"] == "e0 eigenbasis"
+
     def test_arrays_stored_read_only(self):
         template = NonlocalTemplate(
             d_s=5, d_e=2, coin=np.eye(2), initial_coin=[1.0, 0.0], initial_env=[0.0, 1.0]

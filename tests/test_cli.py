@@ -40,6 +40,7 @@ class TestSimulate:
         assert manifest["sample_seed_paths"] == [[1, 0], [1, 1], [1, 2]]
         assert manifest["outputs"]["csv"] == str(out)
         assert manifest["blas_threads"] == ONE_THREAD
+        assert manifest["bath_basis"] == "e0 eigenbasis"
 
     def test_single_sample_has_no_std_column(self, tmp_path):
         out = tmp_path / "single.csv"
@@ -153,6 +154,7 @@ class TestMixingSweep:
         assert manifest["classical"]["tau_spectral"] == pytest.approx(72.82, abs=0.01)
         assert "error" in manifest["points"][0]
         assert [p["blas_threads"] for p in manifest["points"]] == [ONE_THREAD] * 2
+        assert [p["bath_basis"] for p in manifest["points"]] == ["e0 eigenbasis"] * 2
 
 
 class TestSaturationSweep:
@@ -172,6 +174,7 @@ class TestSaturationSweep:
         assert fit["provenance"]["parameters"]["sites_list"] == [5, 7]
         manifest = json.loads((tmp_path / "sat.manifest.json").read_text())
         assert [p["blas_threads"] for p in manifest["points"]] == [ONE_THREAD] * 4
+        assert [p["bath_basis"] for p in manifest["points"]] == ["e0 eigenbasis"] * 4
 
     def test_ratios_and_env_dims_together_rejected(self, tmp_path, capsys):
         code = run(

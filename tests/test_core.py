@@ -209,6 +209,44 @@ class TestStepNonlocal:
         with pytest.raises(DimensionMismatchError):
             step_nonlocal(state, np.asarray(HADAMARD), np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("e0,e1", [
+        (np.ones((4, 5)), np.eye(4)),
+        (np.eye(4), np.ones((4, 5))),
+        (np.ones(5), np.eye(4)),
+        (np.eye(4), np.ones(3)),
+        (np.ones((4, 4, 1)), np.ones(4)),
+        (np.ones((5, 5)), np.ones(4)),
+    ], ids=["wide-e0", "wide-e1", "long-diagonal", "short-diagonal", "3d", "large-square"])
+    def test_rejects_branch_shapes(self, e0, e1):
+        state = random_pure_state(3, 4, np.random.default_rng(1))
+        with pytest.raises(DimensionMismatchError):
+            step_nonlocal(state, np.asarray(HADAMARD), e0, e1)
+
+
+class TestDiagonalBranch:
+    PHASES = np.exp(1j * np.array([0.3, 1.9, -2.4, 0.0]))
+
+    def test_accepted_and_stored_read_only(self):
+        env = NonlocalEnvironment(self.PHASES, random_unitary(4, rng_stream(61)))
+        assert env.d_e == 4 and env.e0.shape == (4,)
+        assert not env.e0.flags.writeable
+        both = NonlocalEnvironment(self.PHASES, self.PHASES[::-1])
+        assert both.e1.shape == (4,)
+
+    @pytest.mark.parametrize("e0,e1", [
+        (np.array([1.0, 1.0, 0.5, 1.0]), np.eye(4)),
+        (np.array([1.0, 1.0 + 1e-9, 1.0, 1.0]), np.eye(4)),
+        (np.array([1.0, np.nan, 1.0, 1.0]), np.eye(4)),
+        (np.eye(4), np.array([1.0, 1.0, 1.0, np.nan + 1j])),
+        (PHASES, np.eye(3)),
+        (PHASES[:3], np.eye(4)),
+        (PHASES, PHASES[:3]),
+    ], ids=["non-unit", "beyond-tolerance", "nan-e0", "nan-e1", "e1-smaller",
+            "e0-smaller", "diagonals-differ"])
+    def test_rejected(self, e0, e1):
+        with pytest.raises(ConfigurationError):
+            NonlocalEnvironment(e0, e1)
+
 
 class TestStepLocal:
     def test_identity_gates_match_bare_walk(self):
@@ -247,6 +285,24 @@ class TestDenseOracle:
             state = random_pure_state(d_s, d_e, rng)
             out = step(state, model)
             assert np.abs(out.amplitudes - dense @ state.amplitudes).max() < 1e-10
+
+    @pytest.mark.parametrize("diagonal", ["e0", "e1", "both"])
+    @pytest.mark.parametrize("d_s,d_e", [(3, 2), (3, 4), (5, 1), (5, 3), (5, 4)])
+    def test_diagonal_branch_matches_dense_matrix(self, d_s, d_e, diagonal):
+        rng = rng_stream(59, d_s, d_e)
+        coin = random_unitary(2, rng)
+        phases = [np.exp(1j * rng.uniform(-np.pi, np.pi, d_e)) for _ in range(2)]
+        dense_branches = [random_unitary(d_e, rng) for _ in range(2)]
+        branches = [
+            phases[b] if diagonal in (name, "both") else dense_branches[b]
+            for b, name in enumerate(("e0", "e1"))
+        ]
+        as_matrices = [np.diag(u) if u.ndim == 1 else u for u in branches]
+        dense = dense_nonlocal_step(d_s, coin, *as_matrices)
+        for _ in range(5):
+            state = random_pure_state(d_s, d_e, rng)
+            out = step_nonlocal(state, coin, *branches)
+            assert np.abs(out.amplitudes - dense @ state.amplitudes).max() <= 1e-12
 
     @pytest.mark.parametrize("d_s", [3, 5])
     def test_local_matches_dense_matrix(self, d_s):

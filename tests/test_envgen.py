@@ -161,6 +161,25 @@ class TestCommutatorNorm:
             for e in (e0, e1):
                 assert np.linalg.norm(e.conj().T @ e - np.eye(5), 2) < 1e-10
 
+    def test_pair_unpacks_to_the_dense_branches(self):
+        rng = rng_stream(16)
+        pair = sample_environment_pair(5, 1.0, rng_stream(16))
+        e0, e1 = pair
+        assert np.array_equal(e0, exponentiate_hermitian(sample_hermitian(5, 1.0, rng)))
+        assert np.array_equal(e1, exponentiate_hermitian(sample_hermitian(5, 1.0, rng)))
+        for dense, (phases, basis) in zip(pair, (pair.e0_eigen, pair.e1_eigen)):
+            assert np.array_equal(dense, (basis * phases) @ basis.conj().T)
+            assert np.abs(np.abs(phases) - 1.0).max() < 1e-15
+            assert np.abs(basis.conj().T @ basis - np.eye(5)).max() < 1e-13
+
+    def test_pair_in_the_eigenbasis_of_e0(self):
+        pair = sample_environment_pair(6, 1.0, rng_stream(18))
+        e0, e1 = pair
+        phases, e1_rotated, to_basis = pair.in_e0_eigenbasis()
+        back = to_basis.conj().T
+        assert np.abs(back @ np.diag(phases) @ to_basis - e0).max() < 1e-13
+        assert np.abs(back @ e1_rotated @ to_basis - e1).max() < 1e-13
+
     def test_conjugation_invariance(self):
         rng = rng_stream(15)
         a, b = sample_environment_pair(6, 1.0, rng)

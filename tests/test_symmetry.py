@@ -16,6 +16,7 @@ import pytest
 from ringwalk import (
     LocalEnvironment,
     NonlocalEnvironment,
+    NonlocalTemplate,
     WalkModel,
     rng_stream,
     sample_environment_pair,
@@ -103,6 +104,39 @@ class TestNonlocalSymmetries:
             model, coin=d @ model.coin @ d.conj().T, initial_coin=d @ model.initial_coin
         )
         assert np.abs(d_omega(rephased, self.STEPS) - base).max() <= TOL
+
+
+class TestQuenchEigenbasis:
+    """A quench sample walks in the eigenbasis of its E0 (``NonlocalTemplate.realize``).
+    That is a bath basis change of the dense pair drawn from the same stream, so
+    the two give one series."""
+
+    D_S, STEPS = 51, 500
+
+    @pytest.mark.parametrize("d_e,own_env", [(320, False), (320, True), (1, False)],
+                             ids=["51x320", "51x320-initial-env", "51x1"])
+    def test_matches_the_dense_pair(self, d_e, own_env):
+        rng = np.random.default_rng(2017)
+        template = NonlocalTemplate(
+            d_s=self.D_S,
+            d_e=d_e,
+            coin=random_coin(rng),
+            initial_site=3,
+            initial_coin=random_state_vector(2, rng),
+            initial_env=random_state_vector(d_e, rng) if own_env else None,
+        )
+        rotated = template.realize(19, 4)
+        assert rotated.environment.e0.shape == (d_e,)
+        e0, e1 = sample_environment_pair(d_e, template.spread, rng_stream(19, 4))
+        dense = WalkModel(
+            d_s=self.D_S,
+            environment=NonlocalEnvironment(e0, e1),
+            coin=template.coin,
+            initial_site=template.initial_site,
+            initial_coin=template.initial_coin,
+            initial_env=template.initial_env,
+        )
+        assert np.abs(d_omega(rotated, self.STEPS) - d_omega(dense, self.STEPS)).max() <= TOL
 
 
 class TestLocalSymmetries:
