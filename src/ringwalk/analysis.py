@@ -208,14 +208,16 @@ def fit_power_law(points) -> FitResult:
     """Fit y = C * r**(-x) by least squares on logs.
 
     ``points`` is a sequence of (ratio, value) pairs with ratio > 1; at
-    least four points are required.  Invariant under permutation of the
-    input.
+    least four points with at least two distinct ratios are required.
+    Invariant under permutation of the input.
     """
     pts = [(float(r), float(y)) for r, y in points]
     if len(pts) < 4:
         raise DomainError(f"need at least 4 points, got {len(pts)}")
     r = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
+    if r.min() == r.max():
+        raise DomainError(f"need at least 2 distinct ratios, got only {r[0]:g}")
     if r.min() <= 1.0:
         raise DomainError(f"all ratios must exceed 1, min is {r.min()}")
     if y.min() <= 0.0:
@@ -302,6 +304,17 @@ class QuenchResult:
 ONE_BLAS_THREAD_MAX_D_E = 64
 
 
+def _quench_sample(template: NonlocalTemplate, path, k: int, steps: int) -> ObservableSeries:
+    """Sample k of a quench: the model drawn from the stream (*path, k), walked ``steps``
+    steps, with its ``seed_path`` recorded; any failure raises ``QuenchSampleError(k)``."""
+    try:
+        series = walk_series(template.realize(*path, k), steps)
+    except Exception as exc:
+        raise QuenchSampleError(k, str(exc)) from exc
+    series.metadata["seed_path"] = [*path, k]
+    return series
+
+
 def quench_average(
     template: NonlocalTemplate,
     n_samples: int,
@@ -313,26 +326,18 @@ def quench_average(
     Sample k draws its branch matrices from the stream (base_seed, k) and
     keeps them for the whole run; initial state and coin are fixed.
     ``base_seed`` may be an int or a (seed, *path) tuple so sweeps can give
-    every parameter point its own stream family.  Samples are combined in
-    index order, so the aggregate is deterministic.  A point with
-    ``d_e <= ONE_BLAS_THREAD_MAX_D_E`` draws and runs its samples at one
-    BLAS thread; the caller's count is restored afterwards.
+    every parameter point its own stream family.  Samples are ``_quench_sample``
+    jobs, run and combined in index order, so the aggregate is deterministic.
+    A point with ``d_e <= ONE_BLAS_THREAD_MAX_D_E`` draws and runs its samples
+    at one BLAS thread; the caller's count is restored afterwards.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
     path = (int(base_seed),) if np.isscalar(base_seed) else tuple(int(p) for p in base_seed)
     if any(p < 0 for p in path):
         raise ConfigurationError(f"seed path entries must be >= 0, got {list(path)}")
-    samples = []
     with _blas.limited(1 if template.d_e <= ONE_BLAS_THREAD_MAX_D_E else None) as threads:
-        for k in range(n_samples):
-            try:
-                model = template.realize(*path, k)
-                series = walk_series(model, steps)
-            except Exception as exc:
-                raise QuenchSampleError(k, str(exc)) from exc
-            series.metadata["seed_path"] = list(path) + [k]
-            samples.append(series)
+        samples = [_quench_sample(template, path, k, steps) for k in range(n_samples)]
 
     d_stack = np.stack([s.d_omega for s in samples])
     h_stack = np.stack([s.entropy for s in samples])

@@ -198,8 +198,6 @@ def _load_coin(choice: str, default: str) -> np.ndarray:
 def cmd_simulate(args, p: dict) -> int:
     _require(p, "model", "sites", "steps")
     sites, steps, seed, samples = p["sites"], p["steps"], p["seed"], p["samples"]
-    if samples < 1:
-        raise ConfigurationError(f"--samples must be >= 1, got {samples}")
     coin = _load_coin(p["coin"], "hadamard")
     initial_coin = _load_coin(p["initial_coin"], "plus-i")
 
@@ -212,8 +210,7 @@ def cmd_simulate(args, p: dict) -> int:
         result = quench_average(template, samples, seed, steps)
         text = _series_csv(result.mean, result.d_omega_std if samples > 1 else None)
         extra["sample_seed_paths"] = [s.metadata["seed_path"] for s in result.samples]
-        extra["blas_threads"] = result.blas_threads
-        extra["bath_basis"] = result.mean.metadata["bath_basis"]
+        extra.update(_run_facts(result))
         name = f"simulate_nonlocal_s{sites}_e{p['env_dim']}_t{steps}_k{samples}_seed{seed}.csv"
     elif p["model"] == "local":
         _require(p, "theta0", "phi0", "theta1", "phi1")
@@ -240,18 +237,18 @@ def cmd_classical(args, p: dict) -> int:
     return _finish(args, p, f"classical_s{sites}_t{steps}.csv", text)
 
 
+def _run_facts(result) -> dict:
+    """What a quench point ran with, for its manifest: BLAS threads and bath basis."""
+    return {"blas_threads": result.blas_threads, "bath_basis": result.mean.metadata["bath_basis"]}
+
+
 def _sweep(p: dict, grid: list):
     """Quench-average each (d_s, d_e) point j of ``grid``, in order, from streams (seed, j, k)."""
     # Every point is checked before the first sample is drawn.
     templates = [NonlocalTemplate(d_s=d_s, d_e=d_e, spread=p["spread"]) for d_s, d_e in grid]
     for j, ((d_s, d_e), template) in enumerate(zip(grid, templates)):
         result = quench_average(template, p["samples"], (p["seed"], j), p["steps"])
-        yield d_s, d_e, result, {
-            "d_e": d_e,
-            "index": j,
-            "blas_threads": result.blas_threads,
-            "bath_basis": result.mean.metadata["bath_basis"],
-        }
+        yield d_s, d_e, result, {"d_e": d_e, "index": j, **_run_facts(result)}
 
 
 def cmd_mixing_sweep(args, p: dict) -> int:
@@ -319,16 +316,13 @@ def cmd_saturation_sweep(args, p: dict) -> int:
         if d_b > d_s:
             fit_points.append((ratio, summary.d_omega_mean))
 
-    fit_text = None
-    if len(fit_points) >= 4:
-        provenance = {"command": "saturation-sweep", "parameters": p, "version": __version__}
+    provenance = {"command": "saturation-sweep", "parameters": p, "version": __version__}
+    try:
         fit = fit_power_law(fit_points).to_json(provenance)
         fit_text = json.dumps(fit, indent=2, sort_keys=True) + "\n"
-    else:
-        print(
-            f"warning: only {len(fit_points)} points with d_b > d_s, power-law fit skipped",
-            file=sys.stderr,
-        )
+    except DomainError as exc:
+        fit_text = None
+        print(f"warning: power-law fit skipped: {exc}", file=sys.stderr)
     name = f"saturation_seed{p['seed']}.csv"
     return _finish(args, p, name, "\n".join(rows) + "\n", {"points": point_log}, fit_text)
 

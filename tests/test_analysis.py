@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -194,6 +195,11 @@ class TestFitPowerLaw:
         with pytest.raises(DomainError):
             fit_power_law([(2.0, 0.3), (3.0, -0.2), (4.0, 0.1), (5.0, 0.05)])
 
+    def test_requires_two_distinct_ratios(self):
+        # One repeated ratio leaves the log-log slope undetermined.
+        with pytest.raises(DomainError, match="need at least 2 distinct ratios, got only 2"):
+            fit_power_law([(2, 0.3)] * 4)
+
     def test_json_includes_provenance(self):
         fit = fit_power_law([(r, 0.4 * r**-0.5) for r in (2, 4, 8, 16)])
         doc = fit.to_json({"seed": 1})
@@ -284,6 +290,31 @@ class TestQuenchAverage:
             [7, 2, 2],
         ]
         assert result.mean.metadata["n_samples"] == 3
+
+    # A non-default coin and initial environment, so the job must carry the whole template.
+    TEMPLATE = NonlocalTemplate(
+        d_s=7, d_e=3, coin=np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2),
+        initial_env=[0.6, 0.0, 0.8j],
+    )
+
+    @staticmethod
+    def _assert_same_series(a, b):
+        assert np.array_equal(a.t, b.t)
+        assert np.array_equal(a.d_omega, b.d_omega)
+        assert np.array_equal(a.entropy, b.entropy)
+        assert a.metadata == b.metadata
+
+    def test_samples_are_the_per_sample_jobs(self):
+        result = quench_average(self.TEMPLATE, 3, (5, 1), 40)
+        assert len(result.samples) == 3
+        for k, sample in enumerate(result.samples):
+            self._assert_same_series(sample, analysis._quench_sample(self.TEMPLATE, (5, 1), k, 40))
+
+    def test_job_survives_pickle(self):
+        job = (analysis._quench_sample, self.TEMPLATE, (5, 1), 2, 40)
+        shipped = pickle.loads(pickle.dumps(job))
+        assert shipped[0] is analysis._quench_sample
+        self._assert_same_series(shipped[0](*shipped[1:]), job[0](*job[1:]))
 
     def test_failure_names_sample_index(self):
         # Valid as a template, but drawing the generator overflows inside sample 0.

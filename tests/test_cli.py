@@ -219,6 +219,21 @@ class TestSaturationSweep:
         assert not (tmp_path / "sat2.fit.json").exists()
         assert "fit skipped" in capsys.readouterr().err
 
+    def test_fit_skipped_with_one_ratio(self, tmp_path, capsys):
+        # Four points above d_b = d_s, but all at ratio 2: no slope to fit.
+        out = tmp_path / "one_ratio.csv"
+        code = run(
+            "saturation-sweep", "--sites-list", "5,7,9,11", "--ratios", "2",
+            "--samples", 2, "--steps", 60, "--output", out,
+        )
+        assert code == 0
+        _, rows = read_rows(out)
+        assert [row[2] for row in rows] == ["2"] * 4
+        assert (tmp_path / "one_ratio.manifest.json").exists()
+        assert not (tmp_path / "one_ratio.fit.json").exists()
+        err = capsys.readouterr().err
+        assert "warning: power-law fit skipped: need at least 2 distinct ratios, got only 2" in err
+
 
 class TestConfigAndErrors:
     def test_config_file_supplies_flags(self, tmp_path):
@@ -363,6 +378,19 @@ class TestConfigAndErrors:
         assert run(*argv, "--steps", steps, "--output", tmp_path / "x.csv") == 2
         assert f"--steps must be >= 1, got {steps}" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2),
+        ("simulate", "--model", "local", "--sites", 5,
+         "--theta0", 0.1, "--phi0", 0.0, "--theta1", 0.1, "--phi1", 1.0),
+        ("mixing-sweep", "--sites", 5, "--env-dims", "2,4"),
+        ("saturation-sweep", "--sites-list", "5", "--ratios", "2"),
+    ], ids=["nonlocal", "local", "mixing-sweep", "saturation-sweep"])
+    def test_zero_samples_rejected(self, tmp_path, capsys, argv):
+        assert run(*argv, "--samples", 0, "--steps", 10, "--output", tmp_path / "x.csv") == 2
+        err = capsys.readouterr().err
+        assert "samples must be" in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ("simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2, "--steps", 3),
