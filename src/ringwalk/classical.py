@@ -27,9 +27,9 @@ def classical_step(p: np.ndarray) -> np.ndarray:
     p = np.ascontiguousarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise DomainError(f"probability vector must be 1d, got shape {p.shape}")
-    if p.min() < 0.0:
+    if not p.min() >= 0.0:  # written so that a NaN fails
         raise DomainError(f"probabilities must be nonnegative, min {p.min():.3e}")
-    if abs(p.sum() - 1.0) > 1e-12:
+    if not abs(p.sum() - 1.0) <= 1e-12:
         raise DomainError(f"probabilities must sum to 1 within 1e-12, got {p.sum()!r}")
     _check_sites(p.size)
     return _hop(p)

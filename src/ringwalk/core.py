@@ -17,7 +17,7 @@ dimension is ``2**d_s``.
 
 Neither step operator ever materializes the full evolution matrix; one
 step costs O(d_s * d_e**2) (nonlocal) or O(d_s * 2**d_s) (local), the latter
-one vectorized gather per branch with no Python loop over sites.  Step
+one vectorized gather with no Python loop over sites.  Step
 outputs are not validated: a ``PureState`` is checked where it enters a
 run, and ``evolve`` checks the norm of the state it returns.
 """
@@ -306,23 +306,28 @@ def init_state(model: WalkModel) -> PureState:
     return PureState(model.d_s, model.d_e, tens.reshape(-1))
 
 
+def _unchecked_state(d_s: int, amplitudes: np.ndarray) -> PureState:
+    """The flat ``amplitudes`` of a step, frozen, as a ``PureState`` that skips
+    ``__post_init__`` (no per-step check)."""
+    amplitudes.setflags(write=False)
+    state = object.__new__(PureState)
+    state.__dict__.update(d_s=d_s, d_e=amplitudes.size // (2 * d_s), amplitudes=amplitudes)
+    return state
+
+
 def _shift(d_s: int, left: np.ndarray, right: np.ndarray) -> PureState:
-    """Shift the (site, env) amplitudes of branch 0 left and of branch 1 right, into
-    a read-only ``PureState`` that skips ``__post_init__`` (no per-step check)."""
+    """Shift the (site, env) amplitudes of branch 0 left and of branch 1 right."""
     out = np.empty((d_s, 2, left.shape[1]), dtype=np.complex128)
     out[:-1, 0, :] = left[1:]
     out[-1, 0, :] = left[0]
     out[1:, 1, :] = right[:-1]
     out[0, 1, :] = right[-1]
-    out.setflags(write=False)
-    state = object.__new__(PureState)
-    state.__dict__.update(d_s=d_s, d_e=left.shape[1], amplitudes=out.reshape(-1))
-    return state
+    return _unchecked_state(d_s, out.reshape(-1))
 
 
 def _coin_flip(coin: np.ndarray, state: PureState) -> np.ndarray:
-    """The coin applied per (site, env) block, as a (branch, site, env) view."""
-    return (coin @ state.tensor()).transpose(1, 0, 2)
+    """The coin applied per (site, env) block, as a (site, branch, env) array."""
+    return coin @ state.tensor()
 
 
 def _apply_branch(v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -348,20 +353,39 @@ def step_nonlocal(
             f"got {e0.shape} and {e1.shape}"
         )
     mixed = _coin_flip(coin, state)
-    return _shift(state.d_s, _apply_branch(mixed[0], e0), _apply_branch(mixed[1], e1))
+    return _shift(state.d_s, _apply_branch(mixed[:, 0], e0), _apply_branch(mixed[:, 1], e1))
 
 
 @functools.lru_cache(maxsize=LOCAL_SITE_LIMIT)
 def _local_gate_tables(d_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (d_s, 2**d_s) tables shared by all gates: ``bit[s, e]`` is bit s
-    of e and ``partner[s, e]`` the flat (site, env) index of (s, e ^ 2**s)."""
+    """Read-only tables shared by all gates, in the (site, branch, env) layout of a
+    step's output.  Output (s, b, e) comes from site r = s + 1 on branch 0 and
+    r = s - 1 on branch 1 (the shift): ``bit[s, b, e]`` is bit r of e, and
+    ``sources[0]`` and ``sources[1]`` hold the flat indices of (r, b, e) and of its
+    partner (r, b, e ^ 2**r) in the coin flip's (site, branch, env) output."""
     env = np.arange(1 << d_s)
-    sites = np.arange(d_s)[:, None]
-    bit = ((env >> sites) & 1).astype(bool)
-    partner = (env ^ (1 << sites)) + (sites << d_s)
+    origin = ((np.arange(d_s)[:, None] + [1, -1]) % d_s)[:, :, None]
+    bit = ((env >> origin) & 1).astype(bool)
+    row = (2 * origin + np.arange(2)[:, None]) << d_s
+    sources = np.stack((row + env, row + (env ^ (1 << origin))))
     bit.setflags(write=False)
-    partner.setflags(write=False)
-    return bit, partner
+    sources.setflags(write=False)
+    return bit, sources
+
+
+@functools.lru_cache(maxsize=2)
+def _local_gate_coefficients(d_s: int, gate_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (site, branch, env) coefficients of the gate pair stored as the
+    bytes of a complex (branch, row, col) array, laid out like ``_local_gate_tables``:
+    ``keep`` multiplies an amplitude and ``flip`` its partner.  Kept for the last
+    two gate pairs (an entry is ~0.3 MB at d_s = 9, ~15 MB at ``LOCAL_SITE_LIMIT``)."""
+    bit = _local_gate_tables(d_s)[0]
+    gates = np.frombuffer(gate_bytes, dtype=np.complex128).reshape(2, 2, 2, 1)
+    keep = np.where(bit, gates[:, 1, 1], gates[:, 0, 0])
+    flip = np.where(bit, gates[:, 1, 0], gates[:, 0, 1])
+    keep.setflags(write=False)
+    flip.setflags(write=False)
+    return keep, flip
 
 
 def step_local(
@@ -372,7 +396,9 @@ def step_local(
     After the coin flip, the branch gate acts only on the qubit of the
     occupied site (bit s of the environment index is the qubit of site s),
     all sites at once: ``v'[s, e] = g[b, b] v[s, e] + g[b, 1-b] v[s, e ^ 2**s]``
-    with b = bit s of e.  Then the walker shifts.
+    with b = bit s of e.  Then the walker shifts.  Each output amplitude and its
+    partner are gathered from the site the walker shifts from, so the shift
+    costs no copy of its own.
     """
     d_s, d_e = state.d_s, state.d_e
     if d_e != 1 << d_s:
@@ -381,16 +407,15 @@ def step_local(
         )
     if g0.shape != (2, 2) or g1.shape != (2, 2):
         raise DimensionMismatchError("local gates must be 2x2")
-    bit, partner = _local_gate_tables(d_s)
-    gates = np.stack((g0, g1))[:, :, :, None, None]  # (branch, row, col, 1, 1)
-    mixed = np.ascontiguousarray(_coin_flip(coin, state))
-    # In place: measured ~1.5x faster than the fused expression at d_s = 9.
-    out = np.where(bit, gates[:, 1, 1], gates[:, 0, 0])
-    out *= mixed
-    flipped = np.take(mixed.reshape(2, -1), partner, axis=1)
-    flipped *= np.where(bit, gates[:, 1, 0], gates[:, 0, 1])
+    gate_bytes = b"".join(np.asarray(g, dtype=np.complex128).tobytes() for g in (g0, g1))
+    keep, flip = _local_gate_coefficients(d_s, gate_bytes)
+    direct, flipped = np.take(_coin_flip(coin, state).reshape(-1), _local_gate_tables(d_s)[1])
+    # In place: the fused expression, with its two extra temporaries, measured ~2x
+    # slower at d_s = 9.
+    out = keep * direct
+    flipped *= flip
     out += flipped
-    return _shift(d_s, out[0], out[1])
+    return _unchecked_state(d_s, out.reshape(-1))
 
 
 def step(state: PureState, model: WalkModel) -> PureState:

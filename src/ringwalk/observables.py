@@ -32,10 +32,10 @@ class DensityMatrix:
                 f"entries must be {self.dim}x{self.dim}, got shape {entries.shape}"
             )
         herm = np.abs(entries - entries.conj().T).max() if self.dim else 0.0
-        if herm > 1e-10:
+        if not herm <= 1e-10:  # written so that a NaN fails
             raise NumericsError(f"matrix not Hermitian within 1e-10 (deviation {herm:.3e})")
         tr = entries.trace()
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise NumericsError(f"trace must be 1 within 1e-10, got {tr!r}")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)

@@ -42,6 +42,13 @@ class TestClassicalStep:
         with pytest.raises(ConfigurationError):
             classical_step(np.array([0.5, 0.5]))  # even ring
 
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_rejects_nan(self, where):
+        p = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
+        p[where] = np.nan
+        with pytest.raises(DomainError):
+            classical_step(p)
+
 
 class TestDistanceSeries:
     def test_initial_distance(self):

@@ -23,7 +23,7 @@ from ringwalk import (
     walk_series,
     write_snapshot,
 )
-from ringwalk.core import _local_gate_tables
+from ringwalk.core import _local_gate_coefficients, _local_gate_tables
 from oracles import (
     dense_local_step,
     dense_nonlocal_step,
@@ -352,6 +352,30 @@ class TestLocalKernel:
             out = step_local(state, np.asarray(HADAMARD), g0, g1)
             ref = per_site_local_step(d_s, np.asarray(HADAMARD), g0, g1, state.amplitudes)
             assert np.abs(out.amplitudes - ref).max() <= 1e-12
+
+    def test_gate_coefficients_follow_the_gates(self):
+        # The coefficient cache is keyed on the gate values: stepping with gates
+        # A, then B, then A again gives each pair its own dynamics, and the two
+        # A steps agree to the bit.
+        d_s = 7
+        rng = rng_stream(53)
+        coin = random_unitary(2, rng)
+        gates_a = random_unitary(2, rng), random_unitary(2, rng)
+        gates_b = random_unitary(2, rng), random_unitary(2, rng)
+        state = random_pure_state(d_s, 1 << d_s, rng)
+        outs = []
+        for g0, g1 in (gates_a, gates_b, gates_a):
+            out = step_local(state, coin, g0, g1)
+            ref = per_site_local_step(d_s, coin, g0, g1, state.amplitudes)
+            assert np.abs(out.amplitudes - ref).max() <= 1e-12
+            outs.append(out.amplitudes)
+        assert np.array_equal(outs[0], outs[2])
+        assert not np.array_equal(outs[0], outs[1])
+        key = np.stack(gates_a, dtype=np.complex128).tobytes()
+        for table in _local_gate_coefficients(d_s, key):
+            assert table.shape == (d_s, 2, 1 << d_s)
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 0
 
 
 class TestStepProperties:

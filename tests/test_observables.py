@@ -61,6 +61,14 @@ class TestDensityMatrix:
         with pytest.raises(NumericsError):
             DensityMatrix(2, np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("nan", [np.nan, complex(0.0, np.nan)])
+    def test_rejects_nan(self, entry, nan):
+        m = np.eye(2, dtype=complex) / 2
+        m[entry] = m[entry[::-1]] = nan
+        with pytest.raises(NumericsError):
+            DensityMatrix(2, m)
+
     def test_eigenvalue_floor_on_walk_states(self):
         for seed in range(4):
             rho = reduce_to_position(random_walk_state(7, 3, seed))
