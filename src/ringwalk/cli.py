@@ -85,6 +85,11 @@ def _series_csv(series: ObservableSeries, std=None) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The manifest's ``rng`` line, given the spawn key of the command's samples; a
+#: command that draws nothing records none.
+_RNG = "philox4x64 keyed by numpy SeedSequence(seed, spawn_key={})"
+
+
 def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit_text=None) -> int:
     """Write the CSV, its ``.fit.json`` if any, then its manifest; print the CSV path."""
     csv_path = _resolve_output(args, name)
@@ -97,7 +102,6 @@ def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit_text=N
         "command": args.command,
         "parameters": params,
         "base_seed": params.get("seed"),
-        "rng": "philox4x64 keyed by numpy SeedSequence(seed, spawn_key=(point, sample))",
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": {k: str(v) for k, v in outputs.items()},
@@ -209,6 +213,7 @@ def cmd_simulate(args, p: dict) -> int:
         )
         result = quench_average(template, samples, seed, steps)
         text = _series_csv(result.mean, result.d_omega_std if samples > 1 else None)
+        extra["rng"] = _RNG.format("(sample,)")
         extra["sample_seed_paths"] = [s.metadata["seed_path"] for s in result.samples]
         extra.update(_run_facts(result))
         name = f"simulate_nonlocal_s{sites}_e{p['env_dim']}_t{steps}_k{samples}_seed{seed}.csv"
@@ -271,6 +276,7 @@ def cmd_mixing_sweep(args, p: dict) -> int:
     fit_cl, spectral = classical_mixing_time(sites)
     rows.append(f"inf,{_fmt(fit_cl.params['tau_mix'])},{_fmt(fit_cl.std_errors['tau_mix'])}")
     extra = {
+        "rng": _RNG.format("(point, sample)"),
         "points": point_log,
         "classical": {
             "tau_mix": fit_cl.params["tau_mix"],
@@ -324,7 +330,8 @@ def cmd_saturation_sweep(args, p: dict) -> int:
         fit_text = None
         print(f"warning: power-law fit skipped: {exc}", file=sys.stderr)
     name = f"saturation_seed{p['seed']}.csv"
-    return _finish(args, p, name, "\n".join(rows) + "\n", {"points": point_log}, fit_text)
+    extra = {"rng": _RNG.format("(point, sample)"), "points": point_log}
+    return _finish(args, p, name, "\n".join(rows) + "\n", extra, fit_text)
 
 
 # Per subcommand: (handler, help, {parameter: (cast, default, help)}).  A cast is
@@ -373,10 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text, spec) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        for name, (cast, _, flag_help) in spec.items():
-            # Lists stay strings here; _merge_config splits them.
-            flag_type = None if isinstance(cast, list) else cast
-            p.add_argument(_flag(name), dest=name, type=flag_type, help=flag_help)
+        for name, (_, _, flag_help) in spec.items():
+            # Values stay strings here; _merge_config casts them like config values.
+            p.add_argument(_flag(name), dest=name, help=flag_help)
         p.add_argument("--config", help="JSON file mirroring the flags (flags override it)")
         p.add_argument("--output", help="CSV output path (default: derived name in "
                                         f"${OUTDIR_ENV_VAR} or the working directory)")

@@ -356,36 +356,27 @@ def step_nonlocal(
     return _shift(state.d_s, _apply_branch(mixed[:, 0], e0), _apply_branch(mixed[:, 1], e1))
 
 
-@functools.lru_cache(maxsize=LOCAL_SITE_LIMIT)
-def _local_gate_tables(d_s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tables shared by all gates, in the (site, branch, env) layout of a
+@functools.lru_cache(maxsize=2)
+def _local_step_plan(d_s: int, gate_bytes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only plan of a local step with the gate pair stored as the bytes of a
+    complex (branch, row, col) array, in the (site, branch, env) layout of the
     step's output.  Output (s, b, e) comes from site r = s + 1 on branch 0 and
-    r = s - 1 on branch 1 (the shift): ``bit[s, b, e]`` is bit r of e, and
-    ``sources[0]`` and ``sources[1]`` hold the flat indices of (r, b, e) and of its
-    partner (r, b, e ^ 2**r) in the coin flip's (site, branch, env) output."""
+    r = s - 1 on branch 1 (the shift): ``sources[0]`` and ``sources[1]`` hold the
+    flat indices of (r, b, e) and of its partner (r, b, e ^ 2**r) in the coin
+    flip's (site, branch, env) output; ``keep`` = g_b[q, q] multiplies the first
+    and ``flip`` = g_b[q, 1 - q] the second, with q bit r of e.  Kept for the last
+    two gate pairs (a plan is ~0.45 MB at d_s = 9, ~22 MB at ``LOCAL_SITE_LIMIT``)."""
     env = np.arange(1 << d_s)
     origin = ((np.arange(d_s)[:, None] + [1, -1]) % d_s)[:, :, None]
     bit = ((env >> origin) & 1).astype(bool)
     row = (2 * origin + np.arange(2)[:, None]) << d_s
     sources = np.stack((row + env, row + (env ^ (1 << origin))))
-    bit.setflags(write=False)
-    sources.setflags(write=False)
-    return bit, sources
-
-
-@functools.lru_cache(maxsize=2)
-def _local_gate_coefficients(d_s: int, gate_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (site, branch, env) coefficients of the gate pair stored as the
-    bytes of a complex (branch, row, col) array, laid out like ``_local_gate_tables``:
-    ``keep`` multiplies an amplitude and ``flip`` its partner.  Kept for the last
-    two gate pairs (an entry is ~0.3 MB at d_s = 9, ~15 MB at ``LOCAL_SITE_LIMIT``)."""
-    bit = _local_gate_tables(d_s)[0]
     gates = np.frombuffer(gate_bytes, dtype=np.complex128).reshape(2, 2, 2, 1)
     keep = np.where(bit, gates[:, 1, 1], gates[:, 0, 0])
     flip = np.where(bit, gates[:, 1, 0], gates[:, 0, 1])
-    keep.setflags(write=False)
-    flip.setflags(write=False)
-    return keep, flip
+    for table in (keep, flip, sources):
+        table.setflags(write=False)
+    return keep, flip, sources
 
 
 def step_local(
@@ -408,8 +399,8 @@ def step_local(
     if g0.shape != (2, 2) or g1.shape != (2, 2):
         raise DimensionMismatchError("local gates must be 2x2")
     gate_bytes = b"".join(np.asarray(g, dtype=np.complex128).tobytes() for g in (g0, g1))
-    keep, flip = _local_gate_coefficients(d_s, gate_bytes)
-    direct, flipped = np.take(_coin_flip(coin, state).reshape(-1), _local_gate_tables(d_s)[1])
+    keep, flip, sources = _local_step_plan(d_s, gate_bytes)
+    direct, flipped = np.take(_coin_flip(coin, state).reshape(-1), sources)
     # In place: the fused expression, with its two extra temporaries, measured ~2x
     # slower at d_s = 9.
     out = keep * direct

@@ -134,6 +134,12 @@ class TestFitExponential:
         with pytest.raises(DomainError):
             fit_exponential_mixing(series, (0, 120))
 
+    @pytest.mark.parametrize("window", [(3, 4), (3, 3)], ids=["two-points", "one-point"])
+    def test_rejects_short_window(self, window):
+        series = synthetic_series(np.exp(-np.arange(20) / 5.0))
+        with pytest.raises(DomainError):
+            fit_exponential_mixing(series, window)
+
 
 class TestLongTimeAverage:
     def test_constant_series(self):
@@ -167,6 +173,11 @@ class TestLongTimeAverage:
         series = synthetic_series(np.ones(101))
         assert default_average_start(series, (0, 40), tau=5.0) == 50
         assert default_average_start(series, (0, 10), tau=2.0) == 20
+
+    @pytest.mark.parametrize("tau", [0.0, -3.0])
+    def test_default_start_rejects_nonpositive_tau(self, tau):
+        with pytest.raises(DomainError):
+            default_average_start(synthetic_series(np.ones(101)), (0, 40), tau)
 
 
 class TestFitPowerLaw:

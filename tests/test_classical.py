@@ -42,6 +42,10 @@ class TestClassicalStep:
         with pytest.raises(ConfigurationError):
             classical_step(np.array([0.5, 0.5]))  # even ring
 
+    def test_rejects_empty(self):
+        with pytest.raises(ConfigurationError):
+            classical_step(np.array([]))
+
     @pytest.mark.parametrize("where", [0, 1])
     def test_rejects_nan(self, where):
         p = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
@@ -97,6 +101,12 @@ class TestClassicalSeries:
     def test_rejects_even_sites(self):
         with pytest.raises(ConfigurationError):
             classical_series(4, 0, 10)
+
+    @pytest.mark.parametrize("s0, steps", [(5, 10), (-1, 10), (0, -1)],
+                             ids=["start-past-ring", "start-negative", "steps-negative"])
+    def test_rejects_bad_start_or_steps(self, s0, steps):
+        with pytest.raises(ConfigurationError):
+            classical_series(5, s0, steps)
 
     def test_rows_equal_quantum_observer_on_diagonal_state(self):
         # Amplitude sqrt(p_s) at (s, c=0, e=s) gives the position reduction

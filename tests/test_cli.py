@@ -280,6 +280,29 @@ class TestConfigAndErrors:
             fit = (tmp_path / "first.fit.json").read_bytes()
             assert (tmp_path / "second.fit.json").read_bytes() == fit
 
+    @pytest.mark.parametrize("argv, spawn_key", [
+        pytest.param(("simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2,
+                      "--steps", 20, "--samples", 2, "--seed", 3), "(sample,)",
+                     id="simulate-nonlocal"),
+        pytest.param(("simulate", "--model", "local", "--sites", 5, "--theta0", 0.3,
+                      "--phi0", 0.0, "--theta1", 0.3, "--phi1", 1.0, "--steps", 20), None,
+                     id="simulate-local"),
+        pytest.param(("mixing-sweep", "--sites", 5, "--env-dims", "2", "--samples", 1,
+                      "--steps", 60, "--seed", 3), "(point, sample)", id="mixing-sweep"),
+        pytest.param(("saturation-sweep", "--sites-list", "5", "--ratios", "2",
+                      "--samples", 1, "--steps", 60, "--seed", 3), "(point, sample)",
+                     id="saturation-sweep"),
+        pytest.param(("classical", "--sites", 5, "--steps", 20), None, id="classical"),
+    ])
+    def test_manifest_rng_names_the_stream(self, tmp_path, argv, spawn_key):
+        assert run(*argv, "--output", tmp_path / "x.csv") == 0
+        manifest = json.loads((tmp_path / "x.manifest.json").read_text())
+        if spawn_key is None:  # nothing is drawn
+            assert "rng" not in manifest
+        else:
+            rng = f"philox4x64 keyed by numpy SeedSequence(seed, spawn_key={spawn_key})"
+            assert manifest["rng"] == rng
+
     @pytest.mark.parametrize("command, cfg, message", [
         pytest.param("simulate", {"model": "nonlocal", "sites": "abc", "env_dim": 2, "steps": 5},
                      "--sites must be an integer", id="int"),
@@ -303,6 +326,37 @@ class TestConfigAndErrors:
         path.write_text(json.dumps(cfg))
         assert run(command, "--config", path, "--output", tmp_path / "x.csv") == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(("simulate", "--model", "nonlocal", "--sites", "abc", "--env-dim", 2,
+                      "--steps", 5), "--sites must be an integer", id="int"),
+        pytest.param(("simulate", "--model", "nonlocal", "--sites", 5, "--env-dim", 2,
+                      "--steps", 5, "--spread", "wide"), "--spread must be a number", id="float"),
+        pytest.param(("simulate", "--model", "nonlocal", "--sites", 5.7, "--env-dim", 2,
+                      "--steps", 5), "--sites must be an integer", id="fractional-int"),
+        pytest.param(("mixing-sweep", "--sites", 5, "--env-dims", "4,x", "--steps", 5),
+                     "--env-dims must be a comma-separated list", id="list"),
+    ])
+    def test_wrongly_typed_flag_value(self, tmp_path, capsys, argv, message):
+        # A flag is cast by the same rule as a config value, with the same message.
+        assert run(*argv, "--output", tmp_path / "x.csv") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("doc", [[5, 3], "simulate", 7], ids=["list", "string", "number"])
+    def test_config_must_be_an_object(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("simulate", "--config", cfg, "--output", tmp_path / "x.csv") == 2
+        assert "must contain a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["foo", "Local"])
+    def test_unknown_model_rejected(self, tmp_path, capsys, model):
+        code = run("simulate", "--model", model, "--sites", 5, "--steps", 5,
+                   "--output", tmp_path / "x.csv")
+        assert code == 2
+        assert "--model must be 'nonlocal' or 'local'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_integral_float_accepted_for_int(self, tmp_path):

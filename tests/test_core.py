@@ -23,7 +23,7 @@ from ringwalk import (
     walk_series,
     write_snapshot,
 )
-from ringwalk.core import _local_gate_coefficients, _local_gate_tables
+from ringwalk.core import _local_step_plan
 from oracles import (
     dense_local_step,
     dense_nonlocal_step,
@@ -87,6 +87,11 @@ class TestPureState:
         with pytest.raises(ConfigurationError):
             PureState(1, 1, np.array([1.0, 0.0], dtype=complex))
 
+    @pytest.mark.parametrize("d_e", [0, -1])
+    def test_rejects_empty_environment(self, d_e):
+        with pytest.raises(ConfigurationError):
+            PureState(3, d_e, [])
+
     def test_amplitudes_read_only(self):
         state = init_state(bare_model(3))
         with pytest.raises(ValueError):
@@ -134,6 +139,15 @@ class TestWalkModel:
         env = LocalEnvironment(np.eye(2), np.eye(2))
         with pytest.raises(ConfigurationError):
             WalkModel(d_s=15, environment=env)
+
+    @pytest.mark.parametrize("build", [
+        lambda: WalkModel(d_s=3, environment=np.eye(2)),
+        lambda: LocalEnvironment(np.eye(3), np.eye(2)),
+        lambda: NonlocalEnvironment(np.ones((2, 3)), np.eye(2)),
+    ], ids=["not-an-environment", "local-gate-3x3", "nonlocal-not-square"])
+    def test_rejects_malformed_environment(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
 
     def test_local_dims(self):
         model = WalkModel(d_s=3, environment=LocalEnvironment(np.eye(2), np.eye(2)))
@@ -273,6 +287,13 @@ class TestStepLocal:
         with pytest.raises(DimensionMismatchError):
             step_local(state, np.asarray(HADAMARD), np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("g0,g1", [(np.eye(3), np.eye(2)), (np.eye(2), np.ones(2))],
+                             ids=["g0-3x3", "g1-vector"])
+    def test_rejects_wrong_gate_shape(self, g0, g1):
+        state = random_pure_state(3, 8, np.random.default_rng(2))
+        with pytest.raises(DimensionMismatchError):
+            step_local(state, np.asarray(HADAMARD), g0, g1)
+
 
 class TestDenseOracle:
     @pytest.mark.parametrize("d_s,d_e", [(3, 1), (3, 2), (3, 4), (5, 2), (5, 4)])
@@ -338,13 +359,14 @@ class TestLocalKernel:
 
     def test_tables_are_read_only_and_shared_across_gates(self):
         d_s = 5
-        bit, partner = _local_gate_tables(d_s)
-        assert _local_gate_tables(d_s)[1] is partner
-        for table in (bit, partner):
+        key = np.stack((np.eye(2), np.eye(2)), dtype=np.complex128).tobytes()
+        keep, flip, sources = _local_step_plan(d_s, key)
+        assert _local_step_plan(d_s, key)[2] is sources
+        for table in (keep, flip, sources):
             with pytest.raises(ValueError):
-                table[0, 0] = 0
-        # The cache is keyed on d_s only: models with other gates at the same
-        # d_s reuse the tables and still get their own dynamics.
+                table[0, 0, 0] = 0
+        # The gather indices depend on d_s only: plans for other gates at the
+        # same d_s hold the same sources and still give their own dynamics.
         rng = rng_stream(47)
         state = random_pure_state(d_s, 1 << d_s, rng)
         for _ in range(2):
@@ -352,9 +374,11 @@ class TestLocalKernel:
             out = step_local(state, np.asarray(HADAMARD), g0, g1)
             ref = per_site_local_step(d_s, np.asarray(HADAMARD), g0, g1, state.amplitudes)
             assert np.abs(out.amplitudes - ref).max() <= 1e-12
+            other = _local_step_plan(d_s, np.stack((g0, g1), dtype=np.complex128).tobytes())
+            assert np.array_equal(other[2], sources)
 
     def test_gate_coefficients_follow_the_gates(self):
-        # The coefficient cache is keyed on the gate values: stepping with gates
+        # The step plan is keyed on d_s and the gate values: stepping with gates
         # A, then B, then A again gives each pair its own dynamics, and the two
         # A steps agree to the bit.
         d_s = 7
@@ -372,7 +396,9 @@ class TestLocalKernel:
         assert np.array_equal(outs[0], outs[2])
         assert not np.array_equal(outs[0], outs[1])
         key = np.stack(gates_a, dtype=np.complex128).tobytes()
-        for table in _local_gate_coefficients(d_s, key):
+        keep, flip, sources = _local_step_plan(d_s, key)
+        assert sources.shape == (2, d_s, 2, 1 << d_s)
+        for table in (keep, flip, sources[0], sources[1]):
             assert table.shape == (d_s, 2, 1 << d_s)
             with pytest.raises(ValueError):
                 table[0, 0, 0] = 0

@@ -78,6 +78,11 @@ class TestExponentiateHermitian:
         with pytest.raises(DomainError):
             exponentiate_hermitian(m)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,)], ids=["2x3", "vector"])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(DomainError):
+            exponentiate_hermitian(np.zeros(shape))
+
 
 class TestLocalGate:
     def test_theta_zero_is_identity(self):

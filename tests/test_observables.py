@@ -61,6 +61,12 @@ class TestDensityMatrix:
         with pytest.raises(NumericsError):
             DensityMatrix(2, np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("entries", [np.eye(2) / 2, np.full(3, 1.0 / 3)],
+                             ids=["2x2", "vector"])
+    def test_rejects_wrong_shape(self, entries):
+        with pytest.raises(DimensionMismatchError):
+            DensityMatrix(3, entries)
+
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
     @pytest.mark.parametrize("nan", [np.nan, complex(0.0, np.nan)])
     def test_rejects_nan(self, entry, nan):
@@ -270,6 +276,15 @@ class TestKraus:
         with pytest.raises(DomainError):
             kraus_generators(model, 1)  # 2 * 11 * 2**11 far beyond the dense cap
 
+    def test_rejects_negative_steps(self):
+        model = WalkModel(d_s=3, environment=NonlocalEnvironment(np.eye(1), np.eye(1)))
+        with pytest.raises(DomainError):
+            kraus_generators(model, -1)
+
+    def test_completeness_of_empty_set_rejected(self):
+        with pytest.raises(DomainError):
+            kraus_completeness_defect([])
+
     def test_dimension_mismatch(self):
         rho = random_density(3, np.random.default_rng(11))
         with pytest.raises(DimensionMismatchError):
@@ -289,3 +304,8 @@ class TestPageEntropy:
     def test_rejects_swapped_dimensions(self):
         with pytest.raises(DomainError):
             page_entropy(8, 4)
+
+    @pytest.mark.parametrize("d_s, d_b", [(0, 4), (-1, 4), (1, 0)])
+    def test_rejects_nonpositive_dimensions(self, d_s, d_b):
+        with pytest.raises(DomainError):
+            page_entropy(d_s, d_b)
