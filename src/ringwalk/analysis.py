@@ -355,12 +355,15 @@ def quench_average(
 
 @dataclass(frozen=True)
 class PlateauSummary:
-    """Long-time averages of a quench result over a common window."""
+    """Long-time averages of a quench result over a common window, with the relaxation
+    fit's window or, where the fit failed and ``t_start`` is half the run, its error."""
 
     t_start: int
     d_omega_mean: float
     d_omega_std: float
     entropy_mean: float
+    fit_window: tuple[int, int] | None = None
+    fit_error: str | None = None
 
 
 def plateau_summary(result: QuenchResult) -> PlateauSummary:
@@ -376,10 +379,11 @@ def plateau_summary(result: QuenchResult) -> PlateauSummary:
     try:
         fit = mixing_fit(series)
         t0 = default_average_start(series, fit.window, fit.params["tau_mix"])
-    except (FitWindowError, DomainError):
-        t0 = last // 2
+        window, error = fit.window, None
+    except (FitWindowError, DomainError) as exc:
+        t0, window, error = last // 2, None, str(exc)
     d_mean = long_time_average(series, t0, last)
     per_sample = np.array([long_time_average(s, t0, last) for s in result.samples])
     d_std = float(per_sample.std(ddof=1)) if per_sample.size > 1 else 0.0
     h_mean = float(series.entropy[t0 : last + 1].mean())
-    return PlateauSummary(t0, d_mean, d_std, h_mean)
+    return PlateauSummary(t0, d_mean, d_std, h_mean, window, error)

@@ -85,9 +85,11 @@ def _series_csv(series: ObservableSeries, std=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: The manifest's ``rng`` line, given the spawn key of the command's samples; a
-#: command that draws nothing records none.
-_RNG = "philox4x64 keyed by numpy SeedSequence(seed, spawn_key={})"
+def _draws(seed: int, spawn_key: str) -> dict:
+    """The manifest's ``base_seed`` and ``rng`` lines of a command that draws its samples
+    from the streams (seed, *spawn_key); a command that draws nothing records neither."""
+    rng = f"philox4x64 keyed by numpy SeedSequence(seed, spawn_key={spawn_key})"
+    return {"base_seed": seed, "rng": rng}
 
 
 def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit_text=None) -> int:
@@ -101,7 +103,6 @@ def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit_text=N
     doc = {
         "command": args.command,
         "parameters": params,
-        "base_seed": params.get("seed"),
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": {k: str(v) for k, v in outputs.items()},
@@ -213,7 +214,7 @@ def cmd_simulate(args, p: dict) -> int:
         )
         result = quench_average(template, samples, seed, steps)
         text = _series_csv(result.mean, result.d_omega_std if samples > 1 else None)
-        extra["rng"] = _RNG.format("(sample,)")
+        extra.update(_draws(seed, "(sample,)"))
         extra["sample_seed_paths"] = [s.metadata["seed_path"] for s in result.samples]
         extra.update(_run_facts(result))
         name = f"simulate_nonlocal_s{sites}_e{p['env_dim']}_t{steps}_k{samples}_seed{seed}.csv"
@@ -224,12 +225,9 @@ def cmd_simulate(args, p: dict) -> int:
                 "the local model has no environment sampling; --samples must be 1"
             )
         gates = [make_local_gate(GateAngles(p[f"theta{b}"], p[f"phi{b}"])) for b in (0, 1)]
-        model = WalkModel(
-            d_s=sites, environment=LocalEnvironment(*gates), coin=coin,
-            initial_coin=initial_coin, seed=seed,
-        )
+        model = WalkModel(sites, LocalEnvironment(*gates), coin=coin, initial_coin=initial_coin)
         text = _series_csv(walk_series(model, steps))
-        name = f"simulate_local_s{sites}_t{steps}_seed{seed}.csv"
+        name = f"simulate_local_s{sites}_t{steps}.csv"
     else:
         raise ConfigurationError(f"--model must be 'nonlocal' or 'local', got {p['model']!r}")
     return _finish(args, p, name, text, extra)
@@ -276,7 +274,7 @@ def cmd_mixing_sweep(args, p: dict) -> int:
     fit_cl, spectral = classical_mixing_time(sites)
     rows.append(f"inf,{_fmt(fit_cl.params['tau_mix'])},{_fmt(fit_cl.std_errors['tau_mix'])}")
     extra = {
-        "rng": _RNG.format("(point, sample)"),
+        **_draws(seed, "(point, sample)"),
         "points": point_log,
         "classical": {
             "tau_mix": fit_cl.params["tau_mix"],
@@ -318,6 +316,10 @@ def cmd_saturation_sweep(args, p: dict) -> int:
         rows.append(
             f"{d_s},{d_b},{_fmt(ratio)},{_fmt(summary.d_omega_mean)},{_fmt(summary.d_omega_std)}"
         )
+        if summary.fit_error is None:
+            entry["window"] = list(summary.fit_window)
+        else:
+            entry["error"] = summary.fit_error
         point_log.append({"d_s": d_s, "t_start": summary.t_start, **entry})
         if d_b > d_s:
             fit_points.append((ratio, summary.d_omega_mean))
@@ -330,7 +332,7 @@ def cmd_saturation_sweep(args, p: dict) -> int:
         fit_text = None
         print(f"warning: power-law fit skipped: {exc}", file=sys.stderr)
     name = f"saturation_seed{p['seed']}.csv"
-    extra = {"rng": _RNG.format("(point, sample)"), "points": point_log}
+    extra = {**_draws(p["seed"], "(point, sample)"), "points": point_log}
     return _finish(args, p, name, "\n".join(rows) + "\n", extra, fit_text)
 
 

@@ -19,8 +19,6 @@ import numpy as np
 from .core import _json_input, _write_file
 from .errors import ConfigurationError, DimensionMismatchError, DomainError, NumericsError
 
-_TWO_PI = 2.0 * math.pi
-
 
 def rng_stream(seed: int, *path: int) -> np.random.Generator:
     """Philox generator for the derivation path ``(seed, *path)``.
@@ -36,24 +34,16 @@ def rng_stream(seed: int, *path: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class GateAngles:
-    """Rotation angles of a local branch gate, canonicalized to
-    theta in [0, pi], phi in [0, 2*pi); the gate itself is unchanged by
-    canonicalization."""
+    """Finite rotation angles of a local branch gate, stored as given: the gate
+    depends on them only through cos and sin, so angles 2*pi apart, and
+    ``(2*pi - theta, phi + pi)`` in place of ``(theta, phi)``, give the same gate."""
 
     theta: float
     phi: float
 
     def __post_init__(self):
-        theta, phi = float(self.theta), float(self.phi)
-        if not (math.isfinite(theta) and math.isfinite(phi)):
-            raise ConfigurationError(f"angles must be finite, got ({theta}, {phi})")
-        theta = theta % _TWO_PI
-        if theta > math.pi:
-            theta = _TWO_PI - theta
-            phi = phi + math.pi
-        phi = phi % _TWO_PI
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ConfigurationError(f"angles must be finite, got ({self.theta}, {self.phi})")
 
 
 def sample_hermitian(d_e: int, spread: float, rng: np.random.Generator) -> np.ndarray:
@@ -163,8 +153,8 @@ def angles_for_gamma(gamma: float) -> tuple[GateAngles, GateAngles]:
     return GateAngles(theta, 0.0), GateAngles(theta, math.pi / 2.0)
 
 
-def commutator_norm(a: np.ndarray, b: np.ndarray, norm: str = "spectral") -> float:
-    """Matrix norm of [a, b]; spectral by default, Frobenius selectable.
+def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """Spectral norm of [a, b], the coupling strength gamma of two branch gates.
 
     The spectral norm is basis independent and bounded by 2 for
     unitaries, which keeps values comparable across dimensions.
@@ -175,12 +165,7 @@ def commutator_norm(a: np.ndarray, b: np.ndarray, norm: str = "spectral") -> flo
         raise DimensionMismatchError(
             f"operands must be square and equally sized, got {a.shape} and {b.shape}"
         )
-    comm = a @ b - b @ a
-    if norm == "spectral":
-        return float(np.linalg.norm(comm, 2))
-    if norm == "frobenius":
-        return float(np.linalg.norm(comm))
-    raise DomainError(f"unknown norm {norm!r}, expected 'spectral' or 'frobenius'")
+    return float(np.linalg.norm(a @ b - b @ a, 2))
 
 
 def matrix_to_json(m: np.ndarray) -> dict:

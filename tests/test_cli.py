@@ -96,6 +96,23 @@ class TestSimulate:
         assert header == ["t", "d_omega", "entropy"]
         assert len(rows) == 61
 
+    def test_local_run_records_no_seed(self, tmp_path, monkeypatch):
+        # The local model draws nothing: --seed is echoed but names no file or stream.
+        monkeypatch.setenv("RINGWALK_OUTDIR", str(tmp_path))
+        argv = ("simulate", "--model", "local", "--sites", 5, "--theta0", 0.3, "--phi0", 0.0,
+                "--theta1", 0.3, "--phi1", 1.0, "--steps", 20)
+        outputs = []
+        for seed in (1, 2):
+            assert run(*argv, "--seed", seed) == 0
+            outputs.append((tmp_path / "simulate_local_s5_t20.csv").read_bytes())
+            manifest = json.loads((tmp_path / "simulate_local_s5_t20.manifest.json").read_text())
+            assert "base_seed" not in manifest and "rng" not in manifest
+            assert manifest["parameters"]["seed"] == seed
+        assert outputs[0] == outputs[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "simulate_local_s5_t20.csv", "simulate_local_s5_t20.manifest.json"
+        ]
+
     def test_local_rejects_quench_samples(self, tmp_path):
         code = run(
             "simulate", "--model", "local", "--sites", 5,
@@ -175,6 +192,18 @@ class TestSaturationSweep:
         manifest = json.loads((tmp_path / "sat.manifest.json").read_text())
         assert [p["blas_threads"] for p in manifest["points"]] == [ONE_THREAD] * 4
         assert [p["bath_basis"] for p in manifest["points"]] == ["e0 eigenbasis"] * 4
+
+    def test_points_record_the_fit_window_or_its_error(self, tmp_path):
+        out = tmp_path / "sat.csv"
+        assert run(
+            "saturation-sweep", "--sites-list", 11, "--ratios", "0.5,2,4",
+            "--samples", 2, "--steps", 300, "--seed", 5, "--output", out,
+        ) == 0
+        points = json.loads((tmp_path / "sat.manifest.json").read_text())["points"]
+        assert [("window" in p) + ("error" in p) for p in points] == [1, 1, 1]
+        assert {"window" in p for p in points} == {True, False}
+        # The average starts at half the run exactly where the fit failed.
+        assert [p["t_start"] == 150 for p in points] == ["error" in p for p in points]
 
     def test_ratios_and_env_dims_together_rejected(self, tmp_path, capsys):
         code = run(
@@ -285,8 +314,8 @@ class TestConfigAndErrors:
                       "--steps", 20, "--samples", 2, "--seed", 3), "(sample,)",
                      id="simulate-nonlocal"),
         pytest.param(("simulate", "--model", "local", "--sites", 5, "--theta0", 0.3,
-                      "--phi0", 0.0, "--theta1", 0.3, "--phi1", 1.0, "--steps", 20), None,
-                     id="simulate-local"),
+                      "--phi0", 0.0, "--theta1", 0.3, "--phi1", 1.0, "--steps", 20,
+                      "--seed", 3), None, id="simulate-local"),
         pytest.param(("mixing-sweep", "--sites", 5, "--env-dims", "2", "--samples", 1,
                       "--steps", 60, "--seed", 3), "(point, sample)", id="mixing-sweep"),
         pytest.param(("saturation-sweep", "--sites-list", "5", "--ratios", "2",
@@ -299,9 +328,11 @@ class TestConfigAndErrors:
         manifest = json.loads((tmp_path / "x.manifest.json").read_text())
         if spawn_key is None:  # nothing is drawn
             assert "rng" not in manifest
+            assert "base_seed" not in manifest
         else:
             rng = f"philox4x64 keyed by numpy SeedSequence(seed, spawn_key={spawn_key})"
             assert manifest["rng"] == rng
+            assert manifest["base_seed"] == argv[argv.index("--seed") + 1]
 
     @pytest.mark.parametrize("command, cfg, message", [
         pytest.param("simulate", {"model": "nonlocal", "sites": "abc", "env_dim": 2, "steps": 5},
