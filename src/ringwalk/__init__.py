@@ -29,7 +29,6 @@ from .analysis import (
 from .classical import (
     classical_mixing_time,
     classical_series,
-    classical_step,
     spectral_mixing_time,
 )
 from .core import (
@@ -51,7 +50,6 @@ from .envgen import (
     GateAngles,
     angles_for_gamma,
     commutator_norm,
-    exponentiate_hermitian,
     load_environment,
     make_local_gate,
     matrix_from_json,

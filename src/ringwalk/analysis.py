@@ -122,6 +122,11 @@ def select_fit_window(series: ObservableSeries) -> tuple[int, int]:
         below = np.nonzero(d < 1.5 * plateau)[0]
         if below.size:
             t2 = int(below[0]) - 1
+            if t2 < t1:
+                raise FitWindowError(
+                    f"series first falls below 1.5x its plateau estimate {plateau:.4g} at step "
+                    f"{t2 + 1}, at or before the window start t1 = {t1}; there is no decay to fit"
+                )
         elif above_zero.size:
             t2 = int(above_zero[-1])
         else:
@@ -279,7 +284,6 @@ class NonlocalTemplate:
             initial_site=self.initial_site,
             initial_coin=self.initial_coin,
             initial_env=env,
-            seed=seed,
         )
 
 
@@ -356,34 +360,34 @@ def quench_average(
 @dataclass(frozen=True)
 class PlateauSummary:
     """Long-time averages of a quench result over a common window, with the relaxation
-    fit's window or, where the fit failed and ``t_start`` is half the run, its error."""
+    fit or, where the fit failed and ``t_start`` is half the run, its error."""
 
     t_start: int
     d_omega_mean: float
     d_omega_std: float
     entropy_mean: float
-    fit_window: tuple[int, int] | None = None
+    fit: FitResult | None = None
     fit_error: str | None = None
 
 
 def plateau_summary(result: QuenchResult) -> PlateauSummary:
-    """Plateau statistics of a quench result.
+    """Plateau statistics of a quench result, and its relaxation fit.
 
     The averaging window starts at ``default_average_start`` when the
-    exponential fit succeeds on the mean series and at half the run
-    otherwise; the same window is applied to every sample, so the quoted
-    std is the environment-to-environment scatter of the plateau mean.
+    exponential fit (``mixing_fit``) succeeds on the mean series and at half
+    the run otherwise; the same window is applied to every sample, so the
+    quoted std is the environment-to-environment scatter of the plateau mean.
     """
     series = result.mean
     last = series.steps
     try:
         fit = mixing_fit(series)
         t0 = default_average_start(series, fit.window, fit.params["tau_mix"])
-        window, error = fit.window, None
+        error = None
     except (FitWindowError, DomainError) as exc:
-        t0, window, error = last // 2, None, str(exc)
+        t0, fit, error = last // 2, None, str(exc)
     d_mean = long_time_average(series, t0, last)
     per_sample = np.array([long_time_average(s, t0, last) for s in result.samples])
     d_std = float(per_sample.std(ddof=1)) if per_sample.size > 1 else 0.0
     h_mean = float(series.entropy[t0 : last + 1].mean())
-    return PlateauSummary(t0, d_mean, d_std, h_mean, window, error)
+    return PlateauSummary(t0, d_mean, d_std, h_mean, fit, error)

@@ -13,26 +13,13 @@ import numpy as np
 
 from .analysis import FitResult, ObservableSeries, mixing_fit
 from .core import _check_sites, _check_steps
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .observables import _spectrum_mixedness
 
 
 def _hop(p: np.ndarray) -> np.ndarray:
     """Equal-probability hop to either neighbour, periodic boundary."""
     return 0.5 * (np.roll(p, 1) + np.roll(p, -1))
-
-
-def classical_step(p: np.ndarray) -> np.ndarray:
-    """One hop of the probability vector ``p`` on an odd ring, checked first."""
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise DomainError(f"probability vector must be 1d, got shape {p.shape}")
-    _check_sites(p.size)
-    if not p.min() >= 0.0:  # written so that a NaN fails
-        raise DomainError(f"probabilities must be nonnegative, min {p.min():.3e}")
-    if not abs(p.sum() - 1.0) <= 1e-12:
-        raise DomainError(f"probabilities must sum to 1 within 1e-12, got {p.sum()!r}")
-    return _hop(p)
 
 
 def classical_series(d_s: int, s0: int, steps: int) -> ObservableSeries:

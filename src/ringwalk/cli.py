@@ -38,7 +38,6 @@ from .analysis import (
     NonlocalTemplate,
     ObservableSeries,
     fit_power_law,
-    mixing_fit,
     plateau_summary,
     quench_average,
     walk_series,
@@ -50,7 +49,6 @@ from .errors import (
     ConfigurationError,
     DimensionMismatchError,
     DomainError,
-    FitWindowError,
     RingwalkError,
 )
 
@@ -246,12 +244,20 @@ def _run_facts(result) -> dict:
 
 
 def _sweep(p: dict, grid: list):
-    """Quench-average each (d_s, d_e) point j of ``grid``, in order, from streams (seed, j, k)."""
+    """Quench-average each (d_s, d_e) point j of ``grid``, in order, from streams (seed, j, k),
+    and reduce it once, by ``plateau_summary``: yield its summary and manifest entry."""
     # Every point is checked before the first sample is drawn.
     templates = [NonlocalTemplate(d_s=d_s, d_e=d_e, spread=p["spread"]) for d_s, d_e in grid]
     for j, ((d_s, d_e), template) in enumerate(zip(grid, templates)):
         result = quench_average(template, p["samples"], (p["seed"], j), p["steps"])
-        yield d_s, d_e, result, {"d_e": d_e, "index": j, **_run_facts(result)}
+        summary = plateau_summary(result)
+        entry = {"d_s": d_s, "d_e": d_e, "index": j, "t_start": summary.t_start}
+        if summary.fit is None:
+            entry["error"] = summary.fit_error
+        else:
+            entry["window"] = list(summary.fit.window)
+        entry.update(_run_facts(result))
+        yield d_s, d_e, summary, entry
 
 
 def cmd_mixing_sweep(args, p: dict) -> int:
@@ -259,15 +265,12 @@ def cmd_mixing_sweep(args, p: dict) -> int:
     sites, seed = p["sites"], p["seed"]
     rows = ["d_b,tau_mix,tau_err"]
     point_log = []
-    for _, d_e, result, entry in _sweep(p, [(sites, d_e) for d_e in p["env_dims"]]):
-        try:
-            fit = mixing_fit(result.mean)
+    for _, d_e, summary, entry in _sweep(p, [(sites, d_e) for d_e in p["env_dims"]]):
+        fit = summary.fit
+        if fit is None:  # the point degrades to a NaN row instead of aborting the sweep
+            tau = err = math.nan
+        else:
             tau, err = fit.params["tau_mix"], fit.std_errors["tau_mix"]
-            entry["window"] = list(fit.window)
-        except (FitWindowError, DomainError) as exc:
-            # Degrade per point instead of aborting the sweep.
-            tau, err = math.nan, math.nan
-            entry["error"] = str(exc)
         point_log.append(entry)
         rows.append(f"{2 * d_e},{_fmt(tau)},{_fmt(err)}")
 
@@ -309,18 +312,13 @@ def cmd_saturation_sweep(args, p: dict) -> int:
     rows = ["d_s,d_b,ratio,mean_d,std_d"]
     fit_points = []
     point_log = []
-    for d_s, d_e, result, entry in _sweep(p, grid):
-        summary = plateau_summary(result)
+    for d_s, d_e, summary, entry in _sweep(p, grid):
         d_b = 2 * d_e
         ratio = d_b / d_s
         rows.append(
             f"{d_s},{d_b},{_fmt(ratio)},{_fmt(summary.d_omega_mean)},{_fmt(summary.d_omega_std)}"
         )
-        if summary.fit_error is None:
-            entry["window"] = list(summary.fit_window)
-        else:
-            entry["error"] = summary.fit_error
-        point_log.append({"d_s": d_s, "t_start": summary.t_start, **entry})
+        point_log.append(entry)
         if d_b > d_s:
             fit_points.append((ratio, summary.d_omega_mean))
 

@@ -237,10 +237,10 @@ class LocalEnvironment:
 
 @dataclass(frozen=True, eq=False)
 class WalkModel:
-    """Complete configuration of one walk experiment.
+    """Complete configuration of one walk experiment, deterministic once built.
 
-    ``seed`` records the stream the environment matrices were drawn from;
-    the evolution itself is deterministic once the model is built.
+    ``seed`` changes no result and is recorded nowhere (a quench sample records
+    its stream as ``seed_path``); it is kept for callers that pass it.
     """
 
     d_s: int
@@ -291,7 +291,6 @@ class WalkModel:
             "d_e": self.d_e,
             "d_b": self.d_b,
             "initial_site": self.initial_site,
-            "seed": self.seed,
         }
         if kind == "nonlocal":
             diagonal = self.environment.e0.ndim == 1

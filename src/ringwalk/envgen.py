@@ -71,13 +71,7 @@ def sample_hermitian(d_e: int, spread: float, rng: np.random.Generator) -> np.nd
 
 
 def _exp_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(phases, basis)`` with exp(-i h) = basis @ diag(phases) @ basis^H, for Hermitian h."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {h.shape}")
-    defect = np.abs(h - h.conj().T).max() if h.size else 0.0
-    if defect > 1e-14:
-        raise DomainError(f"matrix is not Hermitian (entrywise deviation {defect:.3e})")
+    """``(phases, basis)`` with exp(-i h) = basis @ diag(phases) @ basis^H, h Hermitian."""
     try:
         eigvals, eigvecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -90,11 +84,6 @@ def _exp_eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _from_eigensystem(phases: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return (basis * phases) @ basis.conj().T
-
-
-def exponentiate_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) for Hermitian h, via eigendecomposition."""
-    return _from_eigensystem(*_exp_eigensystem(h))
 
 
 @dataclass(frozen=True, eq=False)

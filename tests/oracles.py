@@ -7,7 +7,14 @@ time) and never calls the structured code paths it is used to check.
 
 import numpy as np
 
-from ringwalk import DensityMatrix, DimensionMismatchError, DomainError, NumericsError, PureState
+from ringwalk import (
+    ConfigurationError,
+    DensityMatrix,
+    DimensionMismatchError,
+    DomainError,
+    NumericsError,
+    PureState,
+)
 
 _EIG_HARD_FLOOR = -1e-8
 
@@ -58,6 +65,34 @@ def taylor_expm_neg_i(h: np.ndarray, terms: int = 50) -> np.ndarray:
         term = term @ (-1j * h) / k
         acc = acc + term
     return acc
+
+
+def exponentiate_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) for a square Hermitian h, via eigendecomposition; any other h
+    raises ``DomainError``."""
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {h.shape}")
+    defect = np.abs(h - h.conj().T).max() if h.size else 0.0
+    if defect > 1e-14:
+        raise DomainError(f"matrix is not Hermitian (entrywise deviation {defect:.3e})")
+    eigvals, eigvecs = np.linalg.eigh(h)
+    return (eigvecs * np.exp(-1j * eigvals)) @ eigvecs.conj().T
+
+
+def classical_step(p: np.ndarray) -> np.ndarray:
+    """One hop of the probability vector ``p`` on an odd ring, half to each
+    neighbour, after checking that ``p`` is a distribution on an odd ring."""
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise DomainError(f"probability vector must be 1d, got shape {p.shape}")
+    if p.size < 3 or p.size % 2 == 0:
+        raise ConfigurationError(f"site count must be odd and >= 3, got {p.size}")
+    if not p.min() >= 0.0:  # written so that a NaN fails
+        raise DomainError(f"probabilities must be nonnegative, min {p.min():.3e}")
+    if not abs(p.sum() - 1.0) <= 1e-12:
+        raise DomainError(f"probabilities must sum to 1 within 1e-12, got {p.sum()!r}")
+    return 0.5 * (np.roll(p, 1) + np.roll(p, -1))
 
 
 def classical_transition_matrix(d_s: int) -> np.ndarray:

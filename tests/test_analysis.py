@@ -73,6 +73,21 @@ class TestSelectFitWindow:
         t1, _ = select_fit_window(series)
         assert t1 >= 26  # ceil(51 / 2)
 
+    def test_plateau_reached_by_the_window_start_names_the_crossing(self):
+        # Below 1.5x the plateau from step 1, but the window starts at ceil(11 / 2).
+        series = synthetic_series(np.r_[1.0, np.full(99, 0.05)], metadata={"d_s": 11})
+        with pytest.raises(FitWindowError) as info:
+            select_fit_window(series)
+        assert str(info.value) == (
+            "series first falls below 1.5x its plateau estimate 0.05 at step 1, "
+            "at or before the window start t1 = 6; there is no decay to fit"
+        )
+
+    def test_window_ending_after_its_start_is_too_short(self):
+        series = synthetic_series(np.r_[1.0, 0.8, 0.5, np.full(97, 0.05)])
+        with pytest.raises(FitWindowError, match=r"window \[1, 2\] is too short"):
+            select_fit_window(series)
+
 
 class TestMixingFit:
     def test_is_the_window_then_fit_pair(self):
@@ -301,6 +316,9 @@ class TestQuenchAverage:
             [7, 2, 2],
         ]
         assert result.mean.metadata["n_samples"] == 3
+        assert result.mean.metadata["base_seed"] == [7, 2]
+        # The stream is recorded once, as seed_path or base_seed, and never as "seed".
+        assert all("seed" not in s.metadata for s in [result.mean, *result.samples])
 
     # A non-default coin and initial environment, so the job must carry the whole template.
     TEMPLATE = NonlocalTemplate(

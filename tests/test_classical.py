@@ -9,11 +9,10 @@ from ringwalk import (
     PureState,
     classical_mixing_time,
     classical_series,
-    classical_step,
     position_mixedness,
     spectral_mixing_time,
 )
-from oracles import classical_transition_matrix, shannon_entropy
+from oracles import classical_step, classical_transition_matrix, shannon_entropy
 
 
 class TestClassicalStep:

@@ -264,6 +264,41 @@ class TestSaturationSweep:
         assert "warning: power-law fit skipped: need at least 2 distinct ratios, got only 2" in err
 
 
+class TestSweepReduction:
+    """Each sweep point is reduced once, by plateau_summary, into one entry shape."""
+
+    GRID = ("--env-dims", "1,22,32", "--samples", 1, "--steps", 200, "--seed", 4)
+    SWEEPS = {"mixing-sweep": ("--sites", 11), "saturation-sweep": ("--sites-list", 11)}
+
+    @pytest.mark.parametrize("command", SWEEPS)
+    def test_one_window_selection_per_point(self, tmp_path, monkeypatch, command):
+        import ringwalk.analysis
+
+        kinds = []
+        select = ringwalk.analysis.select_fit_window
+
+        def counted(series):
+            kinds.append(series.metadata["kind"])
+            return select(series)
+
+        monkeypatch.setattr(ringwalk.analysis, "select_fit_window", counted)
+        assert run(command, *self.SWEEPS[command], *self.GRID, "--output", tmp_path / "s.csv") == 0
+        # mixing-sweep also fits its classical reference, once, after the points.
+        assert kinds == ["nonlocal"] * 3 + ["classical"] * (command == "mixing-sweep")
+
+    def test_both_sweeps_write_one_entry_shape(self, tmp_path):
+        points = {}
+        for command, flags in self.SWEEPS.items():
+            assert run(command, *flags, *self.GRID, "--output", tmp_path / f"{command}.csv") == 0
+            manifest = json.loads((tmp_path / f"{command}.manifest.json").read_text())
+            points[command] = manifest["points"]
+        shared = {"d_s", "d_e", "index", "t_start", "blas_threads", "bath_basis"}
+        for entries in points.values():
+            assert [set(p) - shared for p in entries] == [{"error"}, {"window"}, {"window"}]
+        # The same grid, seed and steps draw the same samples, so the entries agree too.
+        assert points["mixing-sweep"] == points["saturation-sweep"]
+
+
 class TestConfigAndErrors:
     def test_config_file_supplies_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"

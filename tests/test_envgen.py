@@ -11,7 +11,6 @@ from ringwalk import (
     GateAngles,
     angles_for_gamma,
     commutator_norm,
-    exponentiate_hermitian,
     load_environment,
     make_local_gate,
     matrix_from_json,
@@ -21,7 +20,8 @@ from ringwalk import (
     sample_hermitian,
     save_environment,
 )
-from oracles import taylor_expm_neg_i
+from ringwalk import envgen
+from oracles import exponentiate_hermitian, taylor_expm_neg_i
 
 
 class TestSampleHermitian:
@@ -169,10 +169,13 @@ class TestCommutatorNorm:
 
     def test_pair_unpacks_to_the_dense_branches(self):
         rng = rng_stream(16)
+        draws = [sample_hermitian(5, 1.0, rng) for _ in range(2)]
         pair = sample_environment_pair(5, 1.0, rng_stream(16))
-        e0, e1 = pair
-        assert np.array_equal(e0, exponentiate_hermitian(sample_hermitian(5, 1.0, rng)))
-        assert np.array_equal(e1, exponentiate_hermitian(sample_hermitian(5, 1.0, rng)))
+        # e0 from the stream's first Hermitian draw, e1 from its second.
+        for eigen, h in zip((pair.e0_eigen, pair.e1_eigen), draws):
+            assert all(map(np.array_equal, eigen, envgen._exp_eigensystem(h)))
+        for dense, h in zip(pair, draws):
+            assert np.abs(dense - taylor_expm_neg_i(h)).max() < 1e-9
         for dense, (phases, basis) in zip(pair, (pair.e0_eigen, pair.e1_eigen)):
             assert np.array_equal(dense, (basis * phases) @ basis.conj().T)
             assert np.abs(np.abs(phases) - 1.0).max() < 1e-15
