@@ -52,7 +52,7 @@ def main():
         )
         csv_dump(OUTDIR / f"relaxation_db{2 * d_e}.csv", result.mean)
 
-    classical = classical_series(D_S, 0, STEPS)
+    classical = classical_series(D_S, STEPS)
     curves["classical"] = classical
     csv_dump(OUTDIR / "relaxation_classical.csv", classical)
     tau_cl = mixing_fit(classical).params["tau_mix"]

@@ -64,16 +64,14 @@ class FitResult:
     window: tuple | list
     residual_rms: float
 
-    def to_json(self, provenance: dict | None = None) -> dict:
-        doc = {
+    def to_json(self, provenance: dict) -> dict:
+        return {
             "params": dict(self.params),
             "std_errors": dict(self.std_errors),
             "window": list(self.window),
             "residual_rms": self.residual_rms,
+            "provenance": provenance,
         }
-        if provenance:
-            doc["provenance"] = provenance
-        return doc
 
 
 def walk_series(model: WalkModel, steps: int) -> ObservableSeries:
@@ -97,9 +95,9 @@ def select_fit_window(series: ObservableSeries) -> tuple[int, int]:
     90% of its initial value, but not before ceil(d_s / 2) steps (the
     ballistic transient, when the lattice size is known from metadata).
     It ends just before the distance first crosses 1.5x the plateau
-    estimate, taken as the mean of the final quarter of the series; if the
-    tail is consistent with zero (no plateau, e.g. the classical walk) the
-    window instead ends at the last step above 1e-6.
+    estimate, taken as the mean of the final quarter of the series; a finite
+    series with an estimate above 1e-6 always crosses it.  Where the tail is
+    consistent with zero, or not finite, it ends at the last step above 1e-6.
     """
     d = series.d_omega
     n = d.size
@@ -115,23 +113,17 @@ def select_fit_window(series: ObservableSeries) -> tuple[int, int]:
         raise FitWindowError("series never decays to 90% of its initial value")
     t1 = int(decayed[0])
 
-    tail = d[n - max(1, n // 4):]
-    plateau = float(tail.mean())
-    above_zero = np.nonzero(d > 1e-6)[0]
-    if plateau > 1e-6:
-        below = np.nonzero(d < 1.5 * plateau)[0]
-        if below.size:
-            t2 = int(below[0]) - 1
-            if t2 < t1:
-                raise FitWindowError(
-                    f"series first falls below 1.5x its plateau estimate {plateau:.4g} at step "
-                    f"{t2 + 1}, at or before the window start t1 = {t1}; there is no decay to fit"
-                )
-        elif above_zero.size:
-            t2 = int(above_zero[-1])
-        else:
-            raise FitWindowError("series vanishes everywhere")
+    plateau = float(d[n - max(1, n // 4):].mean())
+    below = np.nonzero(d < 1.5 * plateau)[0]
+    if plateau > 1e-6 and below.size:
+        t2 = int(below[0]) - 1
+        if t2 < t1:
+            raise FitWindowError(
+                f"series first falls below 1.5x its plateau estimate {plateau:.4g} at step "
+                f"{t2 + 1}, at or before the window start t1 = {t1}; there is no decay to fit"
+            )
     else:
+        above_zero = np.nonzero(d > 1e-6)[0]
         if above_zero.size == 0:
             raise FitWindowError("series vanishes everywhere")
         t2 = int(above_zero[-1])
@@ -253,9 +245,7 @@ class NonlocalTemplate:
     d_e: int
     spread: float = 1.0
     coin: np.ndarray = field(default_factory=lambda: HADAMARD)
-    initial_site: int = 0
     initial_coin: np.ndarray = field(default_factory=lambda: PLUS_I_COIN)
-    initial_env: np.ndarray | None = None
 
     def __post_init__(self):
         if self.d_e < 1:
@@ -268,22 +258,20 @@ class NonlocalTemplate:
         """Draw branch matrices from the stream (seed, *path) and build the model
         in the eigenbasis ``V0`` of the drawn ``E0``.
 
-        The model's ``e0`` is the eigenphases of ``E0`` (a diagonal), its ``e1``
-        is ``V0^H E1 V0`` and its initial environment ``V0^H`` times the
-        template's (basis state 0 by default).  A change of bath basis leaves
-        the walker's reduced state, and so every series, unchanged; it makes a
-        step one dense product instead of two.
+        The walk starts on site 0, its ``e0`` is the eigenphases of ``E0`` (a
+        diagonal), its ``e1`` is ``V0^H E1 V0`` and its initial environment
+        ``V0^H`` applied to basis state 0.  A change of bath basis leaves the
+        walker's reduced state, and so every series, unchanged; it makes a step
+        one dense product instead of two.
         """
         pair = sample_environment_pair(self.d_e, self.spread, rng_stream(seed, *path))
         phases, e1, to_basis = pair.in_e0_eigenbasis()
-        env = to_basis[:, 0] if self.initial_env is None else to_basis @ self.initial_env
         return WalkModel(
             d_s=self.d_s,
             environment=NonlocalEnvironment(phases, e1),
             coin=self.coin,
-            initial_site=self.initial_site,
             initial_coin=self.initial_coin,
-            initial_env=env,
+            initial_env=to_basis[:, 0],
         )
 
 

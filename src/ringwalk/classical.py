@@ -13,7 +13,6 @@ import numpy as np
 
 from .analysis import FitResult, ObservableSeries, mixing_fit
 from .core import _check_sites, _check_steps
-from .errors import ConfigurationError
 from .observables import _spectrum_mixedness
 
 
@@ -22,22 +21,20 @@ def _hop(p: np.ndarray) -> np.ndarray:
     return 0.5 * (np.roll(p, 1) + np.roll(p, -1))
 
 
-def classical_series(d_s: int, s0: int, steps: int) -> ObservableSeries:
-    """Distance and Shannon-entropy series in the quantum series format: the
-    observer's spectrum rule read on the site distribution.  The inputs are
-    checked here, once; the walk then hops unchecked."""
+def classical_series(d_s: int, steps: int) -> ObservableSeries:
+    """Distance and Shannon-entropy series from site 0 (by translation invariance, any
+    start's) in the quantum series format: the observer's spectrum rule read on the
+    site distribution.  The inputs are checked here, once; the walk then hops unchecked."""
     _check_sites(d_s)
-    if not 0 <= s0 < d_s:
-        raise ConfigurationError(f"start site {s0} outside ring of {d_s} sites")
     _check_steps(steps)
     p = np.zeros(d_s)
-    p[s0] = 1.0
+    p[0] = 1.0
     rows = [_spectrum_mixedness(p)]
     for _ in range(steps):
         p = _hop(p)
         rows.append(_spectrum_mixedness(p))
     d_omega, entropy = np.array(rows).T
-    meta = {"kind": "classical", "d_s": d_s, "initial_site": s0}
+    meta = {"kind": "classical", "d_s": d_s}
     return ObservableSeries(np.arange(steps + 1), d_omega, entropy, meta)
 
 
@@ -51,5 +48,5 @@ def classical_mixing_time(d_s: int) -> tuple[FitResult, float]:
     """Mixing time by the quantum pipeline's ``mixing_fit`` over max(200, ceil(9 *
     spectral)) steps, plus the spectral prediction for cross-checking."""
     spectral = spectral_mixing_time(d_s)
-    series = classical_series(d_s, 0, max(200, math.ceil(9.0 * spectral)))
+    series = classical_series(d_s, max(200, math.ceil(9.0 * spectral)))
     return mixing_fit(series), spectral

@@ -200,6 +200,10 @@ def _load_coin(choice: str, default: str) -> np.ndarray:
 
 def cmd_simulate(args, p: dict) -> int:
     _require(p, "model", "sites", "steps")
+    other = {"nonlocal": ("theta0", "phi0", "theta1", "phi1"), "local": ("env_dim",)}
+    stray = [_flag(n) for n in other.get(p["model"], ()) if p[n] is not None]
+    if stray:
+        raise ConfigurationError(f"--model {p['model']} takes no {', '.join(stray)}")
     sites, steps, seed, samples = p["sites"], p["steps"], p["seed"], p["samples"]
     coin = _load_coin(p["coin"], "hadamard")
     initial_coin = _load_coin(p["initial_coin"], "plus-i")
@@ -234,7 +238,7 @@ def cmd_simulate(args, p: dict) -> int:
 def cmd_classical(args, p: dict) -> int:
     _require(p, "sites", "steps")
     sites, steps = p["sites"], p["steps"]
-    text = _series_csv(classical_series(sites, 0, steps))
+    text = _series_csv(classical_series(sites, steps))
     return _finish(args, p, f"classical_s{sites}_t{steps}.csv", text)
 
 

@@ -145,19 +145,11 @@ def _check_steps(steps: int) -> None:
 
 def _check_walk_inputs(walk) -> None:
     """Check and freeze the inputs a ``WalkModel`` and a ``NonlocalTemplate`` share:
-    the site count, the coin, the initial site, and the initial coin and
-    environment vectors (the latter ``walk.d_e`` long)."""
+    the site count, the coin and the initial coin."""
     _check_sites(walk.d_s)
     object.__setattr__(walk, "coin", _unitary_input("coin", walk.coin, (2, 2)))
-    if not 0 <= walk.initial_site < walk.d_s:
-        raise ConfigurationError(
-            f"initial site {walk.initial_site} outside ring of {walk.d_s} sites"
-        )
     icoin = _unit_vector_input("initial_coin", walk.initial_coin, 2)
     object.__setattr__(walk, "initial_coin", icoin)
-    if walk.initial_env is not None:
-        ienv = _unit_vector_input("initial_env", walk.initial_env, walk.d_e)
-        object.__setattr__(walk, "initial_env", ienv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,11 +175,6 @@ class PureState:
                 f"amplitudes must have length {expected}, got shape {amps.shape}"
             )
         object.__setattr__(self, "amplitudes", _unit_vector_input("state", amps, expected))
-
-    @property
-    def d_b(self) -> int:
-        """Bath dimension: coin times environment."""
-        return 2 * self.d_e
 
     def tensor(self) -> np.ndarray:
         """Read-only view of shape (d_s, 2, d_e)."""
@@ -263,24 +250,19 @@ class WalkModel:
                 "environment must be a NonlocalEnvironment or LocalEnvironment"
             )
         _check_walk_inputs(self)
+        if not 0 <= self.initial_site < self.d_s:
+            raise ConfigurationError(
+                f"initial site {self.initial_site} outside ring of {self.d_s} sites"
+            )
+        if self.initial_env is not None:
+            ienv = _unit_vector_input("initial_env", self.initial_env, self.d_e)
+            object.__setattr__(self, "initial_env", ienv)
 
     @property
     def d_e(self) -> int:
         if isinstance(self.environment, LocalEnvironment):
             return 1 << self.d_s
         return self.environment.d_e
-
-    @property
-    def d_b(self) -> int:
-        return 2 * self.d_e
-
-    def environment_state(self) -> np.ndarray:
-        """Initial environment vector (basis state 0 unless configured)."""
-        if self.initial_env is not None:
-            return self.initial_env
-        env = np.zeros(self.d_e, dtype=np.complex128)
-        env[0] = 1.0
-        return env
 
     def describe(self) -> dict:
         """Plain-dict summary recorded in the metadata of a walk's series."""
@@ -289,7 +271,6 @@ class WalkModel:
             "kind": kind,
             "d_s": self.d_s,
             "d_e": self.d_e,
-            "d_b": self.d_b,
             "initial_site": self.initial_site,
         }
         if kind == "nonlocal":
@@ -299,9 +280,13 @@ class WalkModel:
 
 
 def init_state(model: WalkModel) -> PureState:
-    """Product state |initial_site> x |initial_coin> x |initial_env>."""
+    """Product state |initial_site> x |initial_coin> x |initial_env> (basis state 0 if None)."""
+    env = model.initial_env
+    if env is None:
+        env = np.zeros(model.d_e, dtype=np.complex128)
+        env[0] = 1.0
     tens = np.zeros((model.d_s, 2, model.d_e), dtype=np.complex128)
-    tens[model.initial_site] = np.outer(model.initial_coin, model.environment_state())
+    tens[model.initial_site] = np.outer(model.initial_coin, env)
     return PureState(model.d_s, model.d_e, tens.reshape(-1))
 
 

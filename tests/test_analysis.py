@@ -48,7 +48,9 @@ class TestSelectFitWindow:
         series = synthetic_series(np.exp(-t / 10.0))
         t1, t2 = select_fit_window(series)
         assert t1 <= 5
-        assert 130 <= t2 <= 150
+        # The tail mean is below 1e-6, so the window ends at the last step above
+        # 1e-6: t < 10 ln 1e6 = 138.2.
+        assert t2 == 138
         fit = fit_exponential_mixing(series, (t1, t2))
         assert fit.params["tau_mix"] == pytest.approx(10.0, abs=1e-9)
 
@@ -82,6 +84,10 @@ class TestSelectFitWindow:
             "series first falls below 1.5x its plateau estimate 0.05 at step 1, "
             "at or before the window start t1 = 6; there is no decay to fit"
         )
+
+    def test_vanishing_series_rejected(self):
+        with pytest.raises(FitWindowError, match="^series vanishes everywhere$"):
+            select_fit_window(synthetic_series(np.zeros(100)))
 
     def test_window_ending_after_its_start_is_too_short(self):
         series = synthetic_series(np.r_[1.0, 0.8, 0.5, np.full(97, 0.05)])
@@ -242,11 +248,9 @@ class TestNonlocalTemplate:
         {"d_s": 5, "d_e": 2, "spread": math.inf},
         {"d_s": 5, "d_e": 2, "spread": math.nan},
         {"d_s": 5, "d_e": 2, "coin": [[1.0, 1.0], [0.0, 1.0]]},
-        {"d_s": 5, "d_e": 2, "initial_site": 5},
         {"d_s": 5, "d_e": 2, "initial_coin": [1.0, 1.0]},
-        {"d_s": 5, "d_e": 2, "initial_env": [1.0, 0.0, 0.0]},
     ], ids=["even-sites", "d_e-0", "spread-0", "spread-negative", "spread-inf", "spread-nan",
-            "non-unitary-coin", "initial-site", "non-unit-initial-coin", "initial-env-length"])
+            "non-unitary-coin", "non-unit-initial-coin"])
     def test_rejects_bad_field(self, kwargs):
         with pytest.raises(ConfigurationError):
             NonlocalTemplate(**kwargs)
@@ -261,25 +265,21 @@ class TestNonlocalTemplate:
             WalkModel(5, NonlocalEnvironment(np.eye(2), np.eye(2)), coin=coin)
         assert str(from_template.value) == str(from_model.value)
 
-    @pytest.mark.parametrize("initial_env", [None, [0.6, 0.0, 0.8j]])
-    def test_realize_walks_in_the_eigenbasis_of_e0(self, initial_env):
+    def test_realize_walks_in_the_eigenbasis_of_e0(self):
         from ringwalk import rng_stream, sample_environment_pair
 
-        model = NonlocalTemplate(d_s=5, d_e=3, initial_env=initial_env).realize(31, 2)
+        model = NonlocalTemplate(d_s=5, d_e=3).realize(31, 2)
         pair = sample_environment_pair(3, 1.0, rng_stream(31, 2))
         phases, basis = pair.e0_eigen
         _, e1 = pair
-        start = np.eye(3)[0] if initial_env is None else np.asarray(initial_env)
         assert np.array_equal(model.environment.e0, phases)
         assert np.abs(model.environment.e1 - basis.conj().T @ e1 @ basis).max() < 1e-14
-        assert np.abs(model.initial_env - basis.conj().T @ start).max() < 1e-15
+        assert np.abs(model.initial_env - basis.conj().T @ np.eye(3)[0]).max() < 1e-15
         assert model.describe()["bath_basis"] == "e0 eigenbasis"
 
     def test_arrays_stored_read_only(self):
-        template = NonlocalTemplate(
-            d_s=5, d_e=2, coin=np.eye(2), initial_coin=[1.0, 0.0], initial_env=[0.0, 1.0]
-        )
-        for a in (template.coin, template.initial_coin, template.initial_env):
+        template = NonlocalTemplate(d_s=5, d_e=2, coin=np.eye(2), initial_coin=[1.0, 0.0])
+        for a in (template.coin, template.initial_coin):
             assert a.dtype == np.complex128
             assert not a.flags.writeable
 
@@ -320,10 +320,10 @@ class TestQuenchAverage:
         # The stream is recorded once, as seed_path or base_seed, and never as "seed".
         assert all("seed" not in s.metadata for s in [result.mean, *result.samples])
 
-    # A non-default coin and initial environment, so the job must carry the whole template.
+    # A non-default coin and initial coin, so the job must carry the whole template.
     TEMPLATE = NonlocalTemplate(
         d_s=7, d_e=3, coin=np.array([[1.0, 1j], [1j, 1.0]]) / math.sqrt(2),
-        initial_env=[0.6, 0.0, 0.8j],
+        initial_coin=[0.6, 0.8j],
     )
 
     @staticmethod

@@ -56,16 +56,16 @@ class TestClassicalStep:
 class TestDistanceSeries:
     def test_initial_distance(self):
         for d_s in (3, 11, 51):
-            series = classical_series(d_s, 0, 5).d_omega
+            series = classical_series(d_s, 5).d_omega
             assert series[0] == pytest.approx((d_s - 1) / d_s, abs=1e-14)
 
     def test_one_step_total_variation(self):
-        series = classical_series(3, 0, 1).d_omega
+        series = classical_series(3, 1).d_omega
         assert series[1] == pytest.approx(1.0 / 3.0, abs=1e-14)
 
     @pytest.mark.parametrize("d_s", [3, 5, 11, 25, 51])
     def test_monotone_non_increasing(self, d_s):
-        series = classical_series(d_s, 0, 10_000).d_omega
+        series = classical_series(d_s, 10_000).d_omega
         assert (np.diff(series) <= 1e-15).all()
 
     def test_matches_transition_matrix_powers(self):
@@ -73,7 +73,7 @@ class TestDistanceSeries:
             m = classical_transition_matrix(d_s)
             p = np.zeros(d_s)
             p[0] = 1.0
-            series = classical_series(d_s, 0, 100).d_omega
+            series = classical_series(d_s, 100).d_omega
             for t in range(101):
                 expected = 0.5 * np.abs(p - 1.0 / d_s).sum()
                 assert abs(series[t] - expected) < 1e-12
@@ -83,14 +83,14 @@ class TestDistanceSeries:
         # Late-time ratio approaches the subdominant eigenvalue magnitude;
         # probe while the distance is still far above the rounding floor.
         for d_s, t in ((5, 40), (11, 320)):
-            series = classical_series(d_s, 0, t).d_omega
+            series = classical_series(d_s, t).d_omega
             ratio = series[t] / series[t - 1]
             assert ratio == pytest.approx(math.cos(math.pi / d_s), abs=1e-9)
 
 
 class TestClassicalSeries:
     def test_entropy_column_is_shannon(self):
-        series = classical_series(5, 0, 10)
+        series = classical_series(5, 10)
         p = np.zeros(5)
         p[0] = 1.0
         assert series.entropy[0] == shannon_entropy(p)
@@ -99,21 +99,20 @@ class TestClassicalSeries:
 
     def test_rejects_even_sites(self):
         with pytest.raises(ConfigurationError):
-            classical_series(4, 0, 10)
+            classical_series(4, 10)
 
-    @pytest.mark.parametrize("s0, steps", [(5, 10), (-1, 10), (0, -1)],
-                             ids=["start-past-ring", "start-negative", "steps-negative"])
-    def test_rejects_bad_start_or_steps(self, s0, steps):
+    @pytest.mark.parametrize("steps", [-1], ids=["steps-negative"])
+    def test_rejects_bad_start_or_steps(self, steps):
         with pytest.raises(ConfigurationError):
-            classical_series(5, s0, steps)
+            classical_series(5, steps)
 
     def test_rows_equal_quantum_observer_on_diagonal_state(self):
         # Amplitude sqrt(p_s) at (s, c=0, e=s) gives the position reduction
         # diag(p): the quantum observer must read the classical row for p.
         d_s, d_e, steps = 11, 13, 40
-        series = classical_series(d_s, 3, steps)
+        series = classical_series(d_s, steps)
         p = np.zeros(d_s)
-        p[3] = 1.0
+        p[0] = 1.0
         for t in range(steps + 1):
             tens = np.zeros((d_s, 2, d_e), dtype=np.complex128)
             tens[np.arange(d_s), 0, np.arange(d_s)] = np.sqrt(p)

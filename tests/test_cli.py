@@ -425,6 +425,31 @@ class TestConfigAndErrors:
         assert "--model must be 'nonlocal' or 'local'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    LOCAL = ("--model", "local", "--sites", 5, "--theta0", 0.3, "--phi0", 0.0,
+             "--theta1", 0.3, "--phi1", 1.5, "--steps", 5)
+    NONLOCAL = ("--model", "nonlocal", "--sites", 5, "--env-dim", 2, "--steps", 5)
+
+    @pytest.mark.parametrize("argv, cfg, message", [
+        pytest.param((*LOCAL, "--env-dim", 7), None, "--model local takes no --env-dim",
+                     id="local-env-dim-flag"),
+        pytest.param(LOCAL, {"env_dim": 7}, "--model local takes no --env-dim",
+                     id="local-env-dim-config"),
+        pytest.param((*NONLOCAL, "--theta0", 0.2), None, "--model nonlocal takes no --theta0",
+                     id="nonlocal-theta0-flag"),
+        pytest.param((*NONLOCAL, "--phi0", 0.0, "--phi1", 1.5), None,
+                     "--model nonlocal takes no --phi0, --phi1", id="nonlocal-phi-flags"),
+        pytest.param(NONLOCAL, {"theta1": 0.2}, "--model nonlocal takes no --theta1",
+                     id="nonlocal-theta1-config"),
+    ])
+    def test_other_models_inputs_rejected(self, tmp_path, capsys, argv, cfg, message):
+        written = []
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            argv, written = (*argv, "--config", tmp_path / "cfg.json"), ["cfg.json"]
+        assert run("simulate", *argv, "--output", tmp_path / "x.csv") == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == written
+
     def test_integral_float_accepted_for_int(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": "nonlocal", "sites": 5.0, "env_dim": 2, "steps": 5}))

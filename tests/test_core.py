@@ -58,7 +58,6 @@ class TestPureState:
     def test_flat_layout_and_views(self):
         rng = np.random.default_rng(0)
         state = random_pure_state(5, 3, rng)
-        assert state.d_b == 6
         tens = state.tensor()
         # flat index e + d_e * (c + 2 s)
         assert tens[2, 1, 1] == state.amplitudes[1 + 3 * (1 + 2 * 2)]
@@ -152,7 +151,6 @@ class TestWalkModel:
     def test_local_dims(self):
         model = WalkModel(d_s=3, environment=LocalEnvironment(np.eye(2), np.eye(2)))
         assert model.d_e == 8
-        assert model.d_b == 16
 
 
 class TestInitState:
