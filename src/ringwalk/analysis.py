@@ -136,7 +136,7 @@ def select_fit_window(series: ObservableSeries) -> tuple[int, int]:
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
-    """Slope, intercept, their standard errors, and residuals."""
+    """Slope, intercept, their standard errors, and the rms residual of n >= 3 points."""
     n = x.size
     xm = x.mean()
     ym = y.mean()
@@ -145,11 +145,10 @@ def _ols(x: np.ndarray, y: np.ndarray):
     slope = float((dx * (y - ym)).sum() / sxx)
     intercept = ym - slope * xm
     resid = y - (intercept + slope * x)
-    dof = n - 2
-    s2 = float((resid * resid).sum() / dof) if dof > 0 else 0.0
+    s2 = float((resid * resid).sum() / (n - 2))
     se_slope = math.sqrt(s2 / sxx)
     se_intercept = math.sqrt(s2 * (1.0 / n + xm * xm / sxx))
-    return slope, intercept, se_slope, se_intercept, resid
+    return slope, intercept, se_slope, se_intercept, float(np.sqrt((resid * resid).mean()))
 
 
 def fit_exponential_mixing(series: ObservableSeries, window: tuple[int, int]) -> FitResult:
@@ -163,7 +162,7 @@ def fit_exponential_mixing(series: ObservableSeries, window: tuple[int, int]) ->
     if y.min() <= 0.0:
         raise DomainError("distance must be positive everywhere in the fit window")
     x = series.t[t1 : t2 + 1].astype(np.float64)
-    slope, _, se_slope, _, resid = _ols(x, np.log(y))
+    slope, _, se_slope, _, rms = _ols(x, np.log(y))
     if slope >= 0.0:
         raise DomainError(f"no decay in window [{t1}, {t2}] (slope {slope:.3e})")
     tau = -1.0 / slope
@@ -174,7 +173,7 @@ def fit_exponential_mixing(series: ObservableSeries, window: tuple[int, int]) ->
         params={"tau_mix": tau},
         std_errors={"tau_mix": se_tau},
         window=(t1, t2),
-        residual_rms=float(np.sqrt((resid * resid).mean())),
+        residual_rms=rms,
     )
 
 
@@ -219,7 +218,7 @@ def fit_power_law(points) -> FitResult:
         raise DomainError(f"all ratios must exceed 1, min is {r.min()}")
     if y.min() <= 0.0:
         raise DomainError(f"all values must be positive, min is {y.min()}")
-    slope, intercept, se_slope, se_intercept, resid = _ols(np.log(r), np.log(y))
+    slope, intercept, se_slope, se_intercept, rms = _ols(np.log(r), np.log(y))
     c = math.exp(intercept)
     if not all(map(math.isfinite, (c, slope, se_slope, se_intercept))):
         raise NumericsError("power-law fit produced non-finite parameters")
@@ -227,7 +226,7 @@ def fit_power_law(points) -> FitResult:
         params={"C": c, "x": -slope},
         std_errors={"C": c * se_intercept, "x": se_slope},
         window=[float(v) for v in r],
-        residual_rms=float(np.sqrt((resid * resid).mean())),
+        residual_rms=rms,
     )
 
 

@@ -13,11 +13,12 @@ is resolved as flag > config file > default and cast once, in
 ``_merge_config``, before the handler runs.
 
 Series go to CSV (header ``t,d_omega,entropy`` plus ``d_omega_std`` for
-quench means, 17 significant digits, newline-terminated rows), fits and
-run manifests to JSON.  All randomness flows from ``--seed``: sweep point
-j, sample k draws from the Philox stream keyed by (seed, j, k), so any
-row can be regenerated from the manifest alone.  Reruns with identical
-parameters produce byte-identical CSVs.
+quench means), fits and run manifests to JSON.  ``_csv`` is the one place
+where the CSV format is decided (17 significant digits, newline-terminated
+rows), ``_write_json`` the one JSON writer.  All randomness flows from
+``--seed``: sweep point j, sample k draws from the Philox stream keyed by
+(seed, j, k), so any row can be regenerated from the manifest alone.
+Reruns with identical parameters produce byte-identical CSVs.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 numerical or
 fit failure, 4 I/O failure.
@@ -55,32 +56,23 @@ from .errors import (
 OUTDIR_ENV_VAR = "RINGWALK_OUTDIR"
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _out_dir() -> Path:
-    return Path(os.environ.get(OUTDIR_ENV_VAR, "."))
-
-
-def _resolve_output(args, default_name: str) -> Path:
-    if args.output:
-        return Path(args.output)
-    return _out_dir() / default_name
-
-
 def _sibling(path: Path, suffix: str) -> Path:
     return path.with_name(path.stem + suffix)
 
 
+def _csv(header, rows) -> str:
+    """A float cell (numpy's too) at 17 significant digits, any other through ``str``."""
+    return "".join(
+        ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in (header, *rows)
+    )
+
+
 def _series_csv(series: ObservableSeries, std=None) -> str:
-    lines = ["t,d_omega,entropy" + (",d_omega_std" if std is not None else "")]
-    for i in range(series.t.size):
-        row = f"{int(series.t[i])},{_fmt(series.d_omega[i])},{_fmt(series.entropy[i])}"
-        if std is not None:
-            row += f",{_fmt(std[i])}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    columns = {"t": series.t, "d_omega": series.d_omega, "entropy": series.entropy}
+    if std is not None:
+        columns["d_omega_std"] = std
+    return _csv(list(columns), zip(*columns.values()))
 
 
 def _draws(seed: int, spawn_key: str) -> dict:
@@ -90,15 +82,20 @@ def _draws(seed: int, spawn_key: str) -> dict:
     return {"base_seed": seed, "rng": rng}
 
 
-def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit_text=None) -> int:
-    """Write the CSV, its ``.fit.json`` if any, then its manifest; print the CSV path."""
-    csv_path = _resolve_output(args, name)
+def _write_json(path: Path, doc: dict) -> None:
+    _write_file(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+
+
+def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit=None) -> int:
+    """Write the CSV, its ``fit`` (if any) as ``.fit.json``, then its manifest; print its path."""
+    out_dir = Path(os.environ.get(OUTDIR_ENV_VAR, "."))
+    csv_path = Path(args.output) if args.output else out_dir / name
     outputs = {"csv": csv_path}
     _write_file(csv_path, csv_text.encode())
-    if fit_text is not None:
+    if fit is not None:
         outputs["fit"] = _sibling(csv_path, ".fit.json")
-        _write_file(outputs["fit"], fit_text.encode())
-    doc = {
+        _write_json(outputs["fit"], fit)
+    manifest = {
         "command": args.command,
         "parameters": params,
         "version": __version__,
@@ -106,8 +103,7 @@ def _finish(args, params: dict, name: str, csv_text: str, extra=None, fit_text=N
         "outputs": {k: str(v) for k, v in outputs.items()},
         **(extra or {}),
     }
-    manifest = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write_file(_sibling(csv_path, ".manifest.json"), manifest.encode())
+    _write_json(_sibling(csv_path, ".manifest.json"), manifest)
     print(csv_path)
     return 0
 
@@ -200,7 +196,7 @@ def _load_coin(choice: str, default: str) -> np.ndarray:
 
 def cmd_simulate(args, p: dict) -> int:
     _require(p, "model", "sites", "steps")
-    other = {"nonlocal": ("theta0", "phi0", "theta1", "phi1"), "local": ("env_dim",)}
+    other = {"nonlocal": ("theta0", "phi0", "theta1", "phi1"), "local": ("env_dim", "spread")}
     stray = [_flag(n) for n in other.get(p["model"], ()) if p[n] is not None]
     if stray:
         raise ConfigurationError(f"--model {p['model']} takes no {', '.join(stray)}")
@@ -211,6 +207,8 @@ def cmd_simulate(args, p: dict) -> int:
     extra = {}
     if p["model"] == "nonlocal":
         _require(p, "env_dim")
+        if p["spread"] is None:  # recorded as run, so the manifest re-executes
+            p["spread"] = _RUN["spread"][1]
         template = NonlocalTemplate(
             d_s=sites, d_e=p["env_dim"], spread=p["spread"], coin=coin, initial_coin=initial_coin
         )
@@ -247,11 +245,12 @@ def _run_facts(result) -> dict:
     return {"blas_threads": result.blas_threads, "bath_basis": result.mean.metadata["bath_basis"]}
 
 
-def _sweep(p: dict, grid: list):
+def _sweep(p: dict, grid: list) -> tuple[list, list]:
     """Quench-average each (d_s, d_e) point j of ``grid``, in order, from streams (seed, j, k),
-    and reduce it once, by ``plateau_summary``: yield its summary and manifest entry."""
+    and reduce it once, by ``plateau_summary``: the points' summaries and manifest entries."""
     # Every point is checked before the first sample is drawn.
     templates = [NonlocalTemplate(d_s=d_s, d_e=d_e, spread=p["spread"]) for d_s, d_e in grid]
+    summaries, entries = [], []
     for j, ((d_s, d_e), template) in enumerate(zip(grid, templates)):
         result = quench_average(template, p["samples"], (p["seed"], j), p["steps"])
         summary = plateau_summary(result)
@@ -261,35 +260,34 @@ def _sweep(p: dict, grid: list):
         else:
             entry["window"] = list(summary.fit.window)
         entry.update(_run_facts(result))
-        yield d_s, d_e, summary, entry
+        summaries.append(summary)
+        entries.append(entry)
+    return summaries, entries
+
+
+def _tau(fit) -> tuple[float, float]:
+    """A relaxation fit's tau and its error; NaN for a point whose fit failed (``None``)."""
+    if fit is None:
+        return math.nan, math.nan
+    return fit.params["tau_mix"], fit.std_errors["tau_mix"]
 
 
 def cmd_mixing_sweep(args, p: dict) -> int:
     _require(p, "sites", "env_dims", "steps")
     sites, seed = p["sites"], p["seed"]
-    rows = ["d_b,tau_mix,tau_err"]
-    point_log = []
-    for _, d_e, summary, entry in _sweep(p, [(sites, d_e) for d_e in p["env_dims"]]):
-        fit = summary.fit
-        if fit is None:  # the point degrades to a NaN row instead of aborting the sweep
-            tau = err = math.nan
-        else:
-            tau, err = fit.params["tau_mix"], fit.std_errors["tau_mix"]
-        point_log.append(entry)
-        rows.append(f"{2 * d_e},{_fmt(tau)},{_fmt(err)}")
-
+    summaries, points = _sweep(p, [(sites, d_e) for d_e in p["env_dims"]])
+    # A point whose fit failed degrades to a NaN row instead of aborting the sweep.
+    rows = [(2 * d_e, *_tau(summary.fit)) for d_e, summary in zip(p["env_dims"], summaries)]
     fit_cl, spectral = classical_mixing_time(sites)
-    rows.append(f"inf,{_fmt(fit_cl.params['tau_mix'])},{_fmt(fit_cl.std_errors['tau_mix'])}")
+    tau_cl, err_cl = _tau(fit_cl)
+    rows.append(("inf", tau_cl, err_cl))
     extra = {
         **_draws(seed, "(point, sample)"),
-        "points": point_log,
-        "classical": {
-            "tau_mix": fit_cl.params["tau_mix"],
-            "tau_err": fit_cl.std_errors["tau_mix"],
-            "tau_spectral": spectral,
-        },
+        "points": points,
+        "classical": {"tau_mix": tau_cl, "tau_err": err_cl, "tau_spectral": spectral},
     }
-    return _finish(args, p, f"mixing_s{sites}_seed{seed}.csv", "\n".join(rows) + "\n", extra)
+    text = _csv(("d_b", "tau_mix", "tau_err"), rows)
+    return _finish(args, p, f"mixing_s{sites}_seed{seed}.csv", text, extra)
 
 
 def cmd_saturation_sweep(args, p: dict) -> int:
@@ -313,29 +311,23 @@ def cmd_saturation_sweep(args, p: dict) -> int:
     else:
         grid = [(d_s, d_e) for d_s in sites_list for d_e in p["env_dims"]]
 
-    rows = ["d_s,d_b,ratio,mean_d,std_d"]
-    fit_points = []
-    point_log = []
-    for d_s, d_e, summary, entry in _sweep(p, grid):
-        d_b = 2 * d_e
-        ratio = d_b / d_s
-        rows.append(
-            f"{d_s},{d_b},{_fmt(ratio)},{_fmt(summary.d_omega_mean)},{_fmt(summary.d_omega_std)}"
-        )
-        point_log.append(entry)
-        if d_b > d_s:
-            fit_points.append((ratio, summary.d_omega_mean))
+    summaries, points = _sweep(p, grid)
+    rows = [
+        (d_s, 2 * d_e, 2 * d_e / d_s, summary.d_omega_mean, summary.d_omega_std)
+        for (d_s, d_e), summary in zip(grid, summaries)
+    ]
+    # The power law is fitted to the points above d_b = d_s.
+    fit_points = [(ratio, mean_d) for d_s, d_b, ratio, mean_d, _ in rows if d_b > d_s]
 
     provenance = {"command": "saturation-sweep", "parameters": p, "version": __version__}
     try:
         fit = fit_power_law(fit_points).to_json(provenance)
-        fit_text = json.dumps(fit, indent=2, sort_keys=True) + "\n"
     except DomainError as exc:
-        fit_text = None
+        fit = None
         print(f"warning: power-law fit skipped: {exc}", file=sys.stderr)
-    name = f"saturation_seed{p['seed']}.csv"
-    extra = {**_draws(p["seed"], "(point, sample)"), "points": point_log}
-    return _finish(args, p, name, "\n".join(rows) + "\n", extra, fit_text)
+    text = _csv(("d_s", "d_b", "ratio", "mean_d", "std_d"), rows)
+    extra = {**_draws(p["seed"], "(point, sample)"), "points": points}
+    return _finish(args, p, f"saturation_seed{p['seed']}.csv", text, extra, fit)
 
 
 # Per subcommand: (handler, help, {parameter: (cast, default, help)}).  A cast is
@@ -351,6 +343,7 @@ COMMANDS = {
         "theta1": (float, None, None),
         "phi1": (float, None, None),
         **_RUN,
+        "spread": (float, None, None),  # no default: --model local takes no --spread
         "coin": (str, "hadamard", "'hadamard' or a JSON matrix file"),
         "initial_coin": (str, "plus-i", "'plus-i' or a JSON vector file"),
         "samples": (int, 1, None),
@@ -399,15 +392,11 @@ def main(argv=None) -> int:
     handler, _, spec = COMMANDS[args.command]
     try:
         return handler(args, _merge_config(args, spec))
-    except (ConfigurationError, DimensionMismatchError) as exc:
+    except (RingwalkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RingwalkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, (ConfigurationError, DimensionMismatchError)):
+            return 2
+        return 3 if isinstance(exc, RingwalkError) else 4
 
 
 if __name__ == "__main__":

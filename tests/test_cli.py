@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,15 @@ import pytest
 from ringwalk.cli import main
 from oracles import dense_nonlocal_step
 
-from ringwalk import HADAMARD, PLUS_I_COIN, _blas
+from ringwalk import (
+    HADAMARD,
+    PLUS_I_COIN,
+    NonlocalTemplate,
+    _blas,
+    classical_mixing_time,
+    plateau_summary,
+    quench_average,
+)
 
 # Small quench points run at one BLAS thread; None where the count is unknown.
 ONE_THREAD = None if _blas._controls() is None else 1
@@ -299,6 +308,52 @@ class TestSweepReduction:
         assert points["mixing-sweep"] == points["saturation-sweep"]
 
 
+class TestSweepRowsAreLibraryNumbers:
+    """Each sweep row carries the library's reduction of its point exactly: 17 significant
+    digits read back to the same double, so the rows compare under ==, not a tolerance."""
+
+    SITES, ENV_DIMS, SAMPLES, STEPS, SEED = (5, 9), (4, 32), 2, 200, 7
+
+    def summary(self, d_s, d_e, j):
+        template = NonlocalTemplate(d_s=d_s, d_e=d_e)
+        return plateau_summary(quench_average(template, self.SAMPLES, (self.SEED, j), self.STEPS))
+
+    def sweep(self, tmp_path, *flags):
+        out = tmp_path / "sweep.csv"
+        assert run(*flags, "--env-dims", ",".join(map(str, self.ENV_DIMS)),
+                   "--samples", self.SAMPLES, "--steps", self.STEPS, "--seed", self.SEED,
+                   "--output", out) == 0
+        return [[float(cell) for cell in row] for row in read_rows(out)[1]]
+
+    def test_saturation_rows(self, tmp_path):
+        rows = self.sweep(tmp_path, "saturation-sweep", "--sites-list", "5,9")
+        grid = [(d_s, d_e) for d_s in self.SITES for d_e in self.ENV_DIMS]
+        expected = []
+        for j, (d_s, d_e) in enumerate(grid):
+            summary = self.summary(d_s, d_e, j)
+            expected.append([d_s, 2 * d_e, 2 * d_e / d_s, summary.d_omega_mean,
+                             summary.d_omega_std])
+        assert rows == expected
+
+    @pytest.mark.parametrize("d_s", SITES)
+    def test_mixing_rows(self, tmp_path, d_s):
+        rows = self.sweep(tmp_path, "mixing-sweep", "--sites", d_s)
+        expected = []
+        for j, d_e in enumerate(self.ENV_DIMS):
+            fit = self.summary(d_s, d_e, j).fit
+            if fit is None:
+                expected.append([2 * d_e, math.nan, math.nan])
+            else:
+                expected.append([2 * d_e, fit.params["tau_mix"], fit.std_errors["tau_mix"]])
+        fit_cl, _ = classical_mixing_time(d_s)
+        expected.append([math.inf, fit_cl.params["tau_mix"], fit_cl.std_errors["tau_mix"]])
+        # Exact equality, where a NaN cell matches a NaN cell.
+        np.testing.assert_array_equal(rows, expected)
+        # The grid reaches both outcomes: at d_s = 9 one point fits and one does not.
+        if d_s == 9:
+            assert [math.isnan(row[1]) for row in rows] == [True, False, False]
+
+
 class TestConfigAndErrors:
     def test_config_file_supplies_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -328,6 +383,9 @@ class TestConfigAndErrors:
         pytest.param(("saturation-sweep", "--sites-list", "5,7", "--ratios", "2,4",
                       "--samples", 2, "--steps", 100, "--seed", 5),
                      {"sites_list": [5, 7], "ratios": [2.0, 4.0]}, id="saturation-sweep"),
+        pytest.param(("simulate", "--model", "local", "--sites", 5, "--theta0", 0.3,
+                      "--phi0", 0.0, "--theta1", 0.3, "--phi1", 1.0, "--steps", 30),
+                     {}, id="simulate-local"),
         pytest.param(("classical", "--sites", 7, "--steps", 40), {}, id="classical"),
     ])
     def test_manifest_reexecution_round_trip(self, tmp_path, argv, lists):
@@ -440,6 +498,10 @@ class TestConfigAndErrors:
                      "--model nonlocal takes no --phi0, --phi1", id="nonlocal-phi-flags"),
         pytest.param(NONLOCAL, {"theta1": 0.2}, "--model nonlocal takes no --theta1",
                      id="nonlocal-theta1-config"),
+        pytest.param((*LOCAL, "--spread", 2), None, "--model local takes no --spread",
+                     id="local-spread-flag"),
+        pytest.param(LOCAL, {"spread": 1.0}, "--model local takes no --spread",
+                     id="local-spread-config"),
     ])
     def test_other_models_inputs_rejected(self, tmp_path, capsys, argv, cfg, message):
         written = []
