@@ -56,6 +56,13 @@ def _as_complex(a, name: str) -> np.ndarray:
     return out
 
 
+def _frozen(out: np.ndarray, given) -> np.ndarray:
+    """``out``, the cast of ``given``, read-only: a copy if it shares the caller's memory."""
+    out = out.copy() if np.may_share_memory(out, given) else out
+    out.setflags(write=False)
+    return out
+
+
 def _unitary_input(name: str, a, shape: tuple | None = None) -> np.ndarray:
     """``a`` as a read-only complex matrix, square (of ``shape`` if given) and
     unitary within ``_UNITARY_TOL`` in spectral norm.
@@ -75,8 +82,7 @@ def _unitary_input(name: str, a, shape: tuple | None = None) -> np.ndarray:
     tol = _UNITARY_TOL
     if not (frob <= tol or (frob / np.sqrt(u.shape[0]) <= tol and np.linalg.norm(gram, 2) <= tol)):
         raise ConfigurationError(f"{name} is not unitary within {tol:g} (deviation ~{frob:.3e})")
-    u.setflags(write=False)
-    return u
+    return _frozen(u, a)
 
 
 def _branch_input(name: str, a) -> np.ndarray:
@@ -84,15 +90,14 @@ def _branch_input(name: str, a) -> np.ndarray:
     phases (a diagonal unitary) or a unitary ``(d_e, d_e)`` matrix."""
     u = _as_complex(a, name)
     if u.ndim != 1:
-        return _unitary_input(name, u)
+        return _unitary_input(name, a)  # the caller's array, which _frozen compares with
     defect = np.max(np.abs(np.abs(u) - 1.0), initial=0.0)
     if not defect <= _UNITARY_TOL:  # written so that a NaN phase fails
         raise ConfigurationError(
             f"{name} as a diagonal needs entries of modulus 1 within {_UNITARY_TOL:g} "
             f"(deviation {defect:.3e})"
         )
-    u.setflags(write=False)
-    return u
+    return _frozen(u, a)
 
 
 def _check_unit_vector(name: str, v: np.ndarray, length: int, error=ConfigurationError) -> None:
@@ -105,10 +110,9 @@ def _check_unit_vector(name: str, v: np.ndarray, length: int, error=Configuratio
 
 def _unit_vector_input(name: str, v, length: int) -> np.ndarray:
     """``v`` as a read-only complex vector of ``length`` with norm 1."""
-    v = _as_complex(v, name)
-    _check_unit_vector(name, v, length)
-    v.setflags(write=False)
-    return v
+    u = _as_complex(v, name)
+    _check_unit_vector(name, u, length)
+    return _frozen(u, v)
 
 
 def _json_input(data: bytes, source) -> object:
@@ -175,8 +179,7 @@ class PureState:
                 f"amplitudes must have length {expected}, got shape {amps.shape}"
             )
         _check_unit_vector("state", amps, expected)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _frozen(amps, self.amplitudes))
 
     def tensor(self) -> np.ndarray:
         """Read-only view of shape (d_s, 2, d_e)."""

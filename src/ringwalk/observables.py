@@ -58,15 +58,23 @@ def position_mixedness(state: PureState) -> tuple[float, float]:
 
     Shares one eigendecomposition between the two diagnostics (the flat
     state commutes with everything, so the difference spectrum is just the
-    shifted spectrum).  This is the library's one observer: the series
+    shifted spectrum).  The position reduction is the Gram ``a a^H`` of the
+    state as a ``d_s x 2 d_e`` matrix ``a``.  Where ``2 d_e < d_s`` it has
+    rank at most ``2 d_e`` and shares its nonzero spectrum with ``a^H a``
+    (Schmidt; Page 1993), so that smaller Gram is diagonalized and padded
+    with ``d_s - 2 d_e`` zeros, exact by the rank bound (``a a^H`` would give
+    them as rounding noise).  This is the library's one observer: the series
     recorders call it at every step.
     """
-    a = state.amplitudes.reshape(state.d_s, 2 * state.d_e)
-    eigvals = np.linalg.eigvalsh(a @ a.conj().T)
-    if eigvals[0] < -1e-8:  # further below zero than rounding reaches
-        raise NumericsError(
-            f"position reduction has eigenvalue {eigvals[0]:.3e} below -1e-8"
-        )
+    d_s, width = state.d_s, 2 * state.d_e
+    a = state.amplitudes.reshape(d_s, width)
+    if width < d_s:  # d_s is odd, so the two Grams never have one size
+        eigvals = np.concatenate((np.zeros(d_s - width), np.linalg.eigvalsh(a.conj().T @ a)))
+    else:
+        eigvals = np.linalg.eigvalsh(a @ a.conj().T)
+    lowest = eigvals[max(d_s - width, 0)]  # the least computed one; the padded zeros pass
+    if lowest < -1e-8:  # further below zero than rounding reaches
+        raise NumericsError(f"position reduction has eigenvalue {lowest:.3e} below -1e-8")
     trace = eigvals.sum()  # the squared norm: the series' per-step norm check
     if not abs(trace - 1.0) <= 2e-10:  # written so that a NaN fails
         raise NumericsError(f"squared state norm must be 1 within 2e-10, got {float(trace)!r}")
@@ -76,11 +84,11 @@ def position_mixedness(state: PureState) -> tuple[float, float]:
 def _spectrum_mixedness(p: np.ndarray) -> tuple[float, float]:
     """Distance to the flat spectrum ``1/p.size`` and entropy in nats of a
     probability spectrum; the entropy sums -p ln p over the positive entries
-    of ``clip(p, 0, 1)``.  The classical series reads a site distribution, the
-    spectrum of a diagonal state, by this rule too."""
+    of ``p``, each capped at 1.  The classical series reads a site
+    distribution, the spectrum of a diagonal state, by this rule too."""
     dist = float(0.5 * np.abs(p - 1.0 / p.size).sum())
-    pos = np.clip(p, 0.0, 1.0)
-    pos = pos[pos > 0.0]
+    pos = p[p > 0.0]
+    np.minimum(pos, 1.0, out=pos)
     return dist, float(-(pos * np.log(pos)).sum())
 
 

@@ -106,6 +106,27 @@ class TestPureState:
             with pytest.raises(ValueError):
                 state.amplitudes[0] = 0.0
 
+    def test_callers_arrays_stay_writeable(self):
+        # Each input is already contiguous complex128, so the cast returns the caller's array.
+        amps = np.zeros(20, dtype=np.complex128)
+        amps[0] = 1.0
+        phases = np.exp(1j * np.arange(4.0))
+        u, coin, icoin = random_unitary(4, rng_stream(7)), HADAMARD.copy(), PLUS_I_COIN.copy()
+        ienv = amps[:4].copy()
+        state = PureState(5, 2, amps)
+        diag, dense = NonlocalEnvironment(phases, u), NonlocalEnvironment(u, u.copy())
+        local = LocalEnvironment(coin, coin.copy())
+        model = WalkModel(5, diag, coin=coin, initial_coin=icoin, initial_env=ienv)
+        stored = [state.amplitudes, diag.e0, diag.e1, dense.e0, local.g0,
+                  model.coin, model.initial_coin, model.initial_env]
+        for given in (amps, phases, u, coin, icoin, ienv):
+            assert given.flags.writeable
+        for array in stored:
+            assert not array.flags.writeable
+        amps[0], u[0, 0], coin[0, 0] = 0.0, 0.0, 0.0  # the caller reuses its buffers
+        assert state.amplitudes[0] == 1.0 and dense.e0[0, 0] != 0.0
+        assert model.coin[0, 0] == HADAMARD[0, 0] and local.g0[0, 0] == HADAMARD[0, 0]
+
 
 class TestWalkModel:
     def test_rejects_even_sites(self):

@@ -24,6 +24,7 @@ from ringwalk import (
     rng_stream,
     sample_environment_pair,
 )
+from ringwalk.core import _unchecked_state
 from ringwalk.envgen import GateAngles, matrix_from_json, matrix_to_json
 from oracles import (
     distance_to_uniform,
@@ -215,6 +216,22 @@ class TestBasisConsistency:
             rho = reduce_to_position(state)
             assert d_fast == pytest.approx(distance_to_uniform(rho), abs=1e-12)
             assert h_fast == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+
+    @pytest.mark.parametrize("d_s,d_e", [(5, 1), (11, 2), (11, 5), (51, 8)])
+    def test_small_gram_side_matches_oracles(self, d_s, d_e):
+        # 2 d_e < d_s: the observer diagonalizes a^H a and pads the spectrum with zeros.
+        for seed in range(3):
+            state = random_walk_state(d_s, d_e, seed, steps=40)
+            d_fast, h_fast = position_mixedness(state)
+            rho = reduce_to_position(state)
+            assert d_fast == pytest.approx(distance_to_uniform(rho), abs=1e-12)
+            assert h_fast == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+
+    @pytest.mark.parametrize("d_s,d_e", [(11, 2), (5, 4)], ids=["small-gram", "full-gram"])
+    def test_norm_drift_rejected_on_both_sides(self, d_s, d_e):
+        amps = random_walk_state(d_s, d_e, seed=2).amplitudes * (1.0 + 1e-9)
+        with pytest.raises(NumericsError, match="squared state norm"):
+            position_mixedness(_unchecked_state(d_s, amps))
 
 
 class TestKraus:
