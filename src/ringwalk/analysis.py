@@ -264,13 +264,14 @@ class NonlocalTemplate:
         one dense product instead of two.
         """
         pair = sample_environment_pair(self.d_e, self.spread, rng_stream(seed, *path))
-        phases, e1, to_basis = pair.in_e0_eigenbasis()
+        phases, e1, initial_env = pair.in_e0_eigenbasis()
+        del pair  # the two eigenbases go before e1 is validated, which copies it
         return WalkModel(
             d_s=self.d_s,
             environment=NonlocalEnvironment(phases, e1),
             coin=self.coin,
             initial_coin=self.initial_coin,
-            initial_env=to_basis[:, 0],
+            initial_env=initial_env,
         )
 
 

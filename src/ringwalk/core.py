@@ -336,8 +336,11 @@ def step_nonlocal(
             f"environment branches must be {d_e}x{d_e} or diagonals of length {d_e}, "
             f"got {e0.shape} and {e1.shape}"
         )
-    mixed = coin @ state.tensor()  # the coin per (site, env) block: (site, branch, env)
-    return _shift(state.d_s, _apply_branch(mixed[:, 0], e0), _apply_branch(mixed[:, 1], e1))
+    # The coin on every (site, env) amplitude pair as one product, branch-major:
+    # (branch, site, env), so each branch reads one contiguous block.
+    mixed = coin @ state.tensor().transpose(1, 0, 2).reshape(2, -1)
+    mixed = mixed.reshape(2, state.d_s, d_e)
+    return _shift(state.d_s, _apply_branch(mixed[0], e0), _apply_branch(mixed[1], e1))
 
 
 @functools.lru_cache(maxsize=2)

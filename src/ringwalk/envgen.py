@@ -59,13 +59,13 @@ def sample_hermitian(d_e: int, spread: float, rng: np.random.Generator) -> np.nd
     if not spread > 0:
         raise DomainError(f"spread must be positive, got {spread}")
     h = np.zeros((d_e, d_e), dtype=np.complex128)
-    upper = np.triu_indices(d_e, k=1)
-    n_off = upper[0].size
-    if n_off:
-        h[upper] = rng.uniform(-spread, spread, n_off) + 1j * rng.uniform(
-            -spread, spread, n_off
-        )
-        h += h.conj().T
+    # The mask enumerates the upper triangle row by row, the order of the draws;
+    # the writes go in place, with no index arrays and no complex temporaries.
+    upper = np.triu(np.ones((d_e, d_e), dtype=bool), k=1)
+    n_off = d_e * (d_e - 1) // 2
+    h.real[upper] = rng.uniform(-spread, spread, n_off)
+    h.imag[upper] = rng.uniform(-spread, spread, n_off)
+    h.T[upper] = np.conjugate(h[upper])
     h[np.diag_indices(d_e)] = rng.uniform(-spread, spread, d_e)
     return h
 
@@ -104,13 +104,20 @@ class EnvironmentPair:
         return (_from_eigensystem(*eigen) for eigen in (self.e0_eigen, self.e1_eigen))
 
     def in_e0_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(phases, e1, to_basis)`` in the eigenbasis ``V0`` of e0: e0 is the diagonal
-        of its ``phases``, e1 is ``V0^H e1 V0`` and ``to_basis = V0^H`` takes an
-        environment vector there.  Two ``d_e x d_e`` products, no ``eigh``."""
+        """``(phases, e1, initial_env)`` in the eigenbasis ``V0`` of e0: e0 is the
+        diagonal of its ``phases``, e1 is ``V0^H e1 V0`` and ``initial_env`` is
+        ``V0^H`` applied to basis state 0, the start of a quench walk.
+
+        Two ``d_e x d_e`` products, no ``eigh``; with the two eigenbases at most
+        five ``d_e x d_e`` arrays are alive at once.  ``W = V0^H V1`` is conjugated
+        in place for the second product, which reads it in the same layout as
+        ``_from_eigensystem(phases1, W)`` would, so e1 is the same to the bit."""
         phases0, basis0 = self.e0_eigen
-        to_basis = basis0.conj().T
         phases1, basis1 = self.e1_eigen
-        return phases0, _from_eigensystem(phases1, to_basis @ basis1), to_basis
+        w = basis0.conj().T @ basis1
+        scaled = w * phases1
+        np.conjugate(w, out=w)
+        return phases0, scaled @ w.T, basis0[0].conj()
 
 
 def sample_environment_pair(d_e: int, spread: float, rng: np.random.Generator) -> EnvironmentPair:

@@ -277,6 +277,32 @@ class TestNonlocalTemplate:
         assert np.abs(model.initial_env - basis.conj().T @ np.eye(3)[0]).max() < 1e-15
         assert model.describe()["bath_basis"] == "e0 eigenbasis"
 
+    @pytest.mark.parametrize("d_e", [1, 2, 7, 64])
+    def test_realize_matches_the_two_product_construction(self, d_e):
+        from ringwalk import envgen, rng_stream, sample_environment_pair
+
+        model = NonlocalTemplate(d_s=5, d_e=d_e).realize(37, d_e)
+        pair = sample_environment_pair(d_e, 1.0, rng_stream(37, d_e))
+        to_basis = pair.e0_eigen[1].conj().T
+        phases1, basis1 = pair.e1_eigen
+        e1 = envgen._from_eigensystem(phases1, to_basis @ basis1)
+        assert np.array_equal(model.environment.e1, e1)
+        assert np.array_equal(model.initial_env, to_basis[:, 0])
+
+    def test_realize_holds_at_most_five_bath_matrices(self):
+        import tracemalloc
+
+        template = NonlocalTemplate(d_s=51, d_e=160)
+        template.realize(0, 0)  # first calls out of the way
+        tracemalloc.start()
+        try:
+            template.realize(1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Both eigenbases, V0^H V1, its phase-scaled copy and the rotated e1.
+        assert peak <= 5.2 * 16 * 160**2
+
     def test_arrays_stored_read_only(self):
         template = NonlocalTemplate(d_s=5, d_e=2, coin=np.eye(2), initial_coin=[1.0, 0.0])
         for a in (template.coin, template.initial_coin):

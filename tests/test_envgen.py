@@ -47,6 +47,19 @@ class TestSampleHermitian:
         b = sample_hermitian(5, 1.0, rng_stream(9, 4))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("d_e", [1, 2, 5, 64])
+    def test_same_draw_as_the_index_construction(self, d_e):
+        # The construction through triu_indices and an h + h^H copy, written out.
+        rng = rng_stream(12, d_e)
+        expected = np.zeros((d_e, d_e), dtype=np.complex128)
+        upper = np.triu_indices(d_e, k=1)
+        n_off = upper[0].size
+        if n_off:
+            expected[upper] = rng.uniform(-1.5, 1.5, n_off) + 1j * rng.uniform(-1.5, 1.5, n_off)
+            expected += expected.conj().T
+        expected[np.diag_indices(d_e)] = rng.uniform(-1.5, 1.5, d_e)
+        assert np.array_equal(sample_hermitian(d_e, 1.5, rng_stream(12, d_e)), expected)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             sample_hermitian(0, 1.0, rng_stream(0))
@@ -184,10 +197,12 @@ class TestCommutatorNorm:
     def test_pair_in_the_eigenbasis_of_e0(self):
         pair = sample_environment_pair(6, 1.0, rng_stream(18))
         e0, e1 = pair
-        phases, e1_rotated, to_basis = pair.in_e0_eigenbasis()
-        back = to_basis.conj().T
+        phases, e1_rotated, initial_env = pair.in_e0_eigenbasis()
+        back = pair.e0_eigen[1]
+        to_basis = back.conj().T
         assert np.abs(back @ np.diag(phases) @ to_basis - e0).max() < 1e-13
         assert np.abs(back @ e1_rotated @ to_basis - e1).max() < 1e-13
+        assert np.array_equal(initial_env, to_basis @ np.eye(6)[0])
 
     def test_conjugation_invariance(self):
         rng = rng_stream(15)
