@@ -11,6 +11,7 @@ Run from the repository root:
     python demos/01_relaxation_and_plateau.py [outdir]
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -42,13 +43,16 @@ def main():
     curves = {}
     for d_e in (32, 64, 256):
         result = quench_average(NonlocalTemplate(d_s=D_S, d_e=d_e), SAMPLES, (SEED, d_e), STEPS)
-        summary = plateau_summary(result)
-        tau = mixing_fit(result.mean).params["tau_mix"]
+        summary = plateau_summary(result)  # holds the relaxation fit of the mean series
+        if summary.fit is None:
+            tau, note = math.nan, f"; no relaxation fit: {summary.fit_error}"
+        else:
+            tau, note = summary.fit.params["tau_mix"], ""
         curves[f"d_b={2 * d_e}"] = result.mean
         print(
             f"  bath d_b={2 * d_e:4d}: mixing time ~{tau:6.1f} steps, "
             f"plateau {summary.d_omega_mean:.3f} +- {summary.d_omega_std:.3f} "
-            f"(averaging from t={summary.t_start})"
+            f"(averaging from t={summary.t_start}){note}"
         )
         csv_dump(OUTDIR / f"relaxation_db{2 * d_e}.csv", result.mean)
 

@@ -26,11 +26,7 @@ from .analysis import (
     select_fit_window,
     walk_series,
 )
-from .classical import (
-    classical_mixing_time,
-    classical_series,
-    spectral_mixing_time,
-)
+from .classical import classical_mixing_time, classical_series
 from .core import (
     HADAMARD,
     PLUS_I_COIN,
@@ -42,8 +38,6 @@ from .core import (
     init_state,
     read_snapshot,
     step,
-    step_local,
-    step_nonlocal,
     write_snapshot,
 )
 from .envgen import (
@@ -53,10 +47,8 @@ from .envgen import (
     load_environment,
     make_local_gate,
     matrix_from_json,
-    matrix_to_json,
     rng_stream,
     sample_environment_pair,
-    sample_hermitian,
     save_environment,
 )
 from .errors import (

@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _blas
+# perfbench/tracing.py times sample_environment_pair, evolve, position_mixedness,
+# select_fit_window and fit_exponential_mixing by replacing these module globals,
+# so calls go through them; one that bypasses them reads null in the benchmark.
 from .core import HADAMARD, PLUS_I_COIN, NonlocalEnvironment, WalkModel, evolve
 from .core import _check_steps, _check_walk_inputs
 from .envgen import rng_stream, sample_environment_pair
@@ -63,15 +66,6 @@ class FitResult:
     std_errors: dict
     window: tuple | list
     residual_rms: float
-
-    def to_json(self, provenance: dict) -> dict:
-        return {
-            "params": dict(self.params),
-            "std_errors": dict(self.std_errors),
-            "window": list(self.window),
-            "residual_rms": self.residual_rms,
-            "provenance": provenance,
-        }
 
 
 def walk_series(model: WalkModel, steps: int) -> ObservableSeries:
@@ -262,13 +256,24 @@ class NonlocalTemplate:
         ``V0^H`` applied to basis state 0.  A change of bath basis leaves the
         walker's reduced state, and so every series, unchanged; it makes a step
         one dense product instead of two.
+
+        ``V1`` goes as soon as ``W = V0^H V1`` exists; ``W`` is conjugated in place
+        for the second product, which reads it as ``envgen._from_eigensystem(phases1,
+        W)`` would, so e1 is the same to the bit.
         """
         pair = sample_environment_pair(self.d_e, self.spread, rng_stream(seed, *path))
-        phases, e1, initial_env = pair.in_e0_eigenbasis()
-        del pair  # the two eigenbases go before e1 is validated, which copies it
+        (phases0, basis0), (phases1, basis1) = pair.e0_eigen, pair.e1_eigen
+        del pair
+        w = basis0.conj().T @ basis1
+        del basis1
+        scaled = w * phases1
+        np.conjugate(w, out=w)
+        e1 = scaled @ w.T
+        initial_env = basis0[0].conj()
+        del basis0, w, scaled  # before e1 is validated, which copies it
         return WalkModel(
             d_s=self.d_s,
-            environment=NonlocalEnvironment(phases, e1),
+            environment=NonlocalEnvironment(phases0, e1),
             coin=self.coin,
             initial_coin=self.initial_coin,
             initial_env=initial_env,

@@ -35,6 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+# quench_average, walk_series, plateau_summary and fit_power_law are imported by
+# name: perfbench/tracing.py times them by replacing ``ringwalk.cli.<name>``.
 from .analysis import (
     NonlocalTemplate,
     ObservableSeries,
@@ -319,12 +321,19 @@ def cmd_saturation_sweep(args, p: dict) -> int:
     # The power law is fitted to the points above d_b = d_s.
     fit_points = [(ratio, mean_d) for d_s, d_b, ratio, mean_d, _ in rows if d_b > d_s]
 
-    provenance = {"command": "saturation-sweep", "parameters": p, "version": __version__}
     try:
-        fit = fit_power_law(fit_points).to_json(provenance)
+        power_law = fit_power_law(fit_points)
     except DomainError as exc:
         fit = None
         print(f"warning: power-law fit skipped: {exc}", file=sys.stderr)
+    else:
+        fit = {
+            "params": power_law.params,
+            "std_errors": power_law.std_errors,
+            "window": power_law.window,
+            "residual_rms": power_law.residual_rms,
+            "provenance": {"command": "saturation-sweep", "parameters": p, "version": __version__},
+        }
     text = _csv(("d_s", "d_b", "ratio", "mean_d", "std_d"), rows)
     extra = {**_draws(p["seed"], "(point, sample)"), "points": points}
     return _finish(args, p, f"saturation_seed{p['seed']}.csv", text, extra, fit)

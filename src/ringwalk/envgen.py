@@ -93,8 +93,8 @@ class EnvironmentPair:
     ``e_b = basis @ diag(phases) @ basis^H``.
 
     It unpacks to the dense ``(e0, e1)``, built on unpacking; a caller that
-    walks in the eigenbasis of e0 takes ``in_e0_eigenbasis()`` instead and
-    never builds them.
+    walks in the eigenbasis of e0 (``NonlocalTemplate.realize``) reads the two
+    eigensystems instead and never builds them.
     """
 
     e0_eigen: tuple[np.ndarray, np.ndarray]
@@ -103,28 +103,12 @@ class EnvironmentPair:
     def __iter__(self):
         return (_from_eigensystem(*eigen) for eigen in (self.e0_eigen, self.e1_eigen))
 
-    def in_e0_eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(phases, e1, initial_env)`` in the eigenbasis ``V0`` of e0: e0 is the
-        diagonal of its ``phases``, e1 is ``V0^H e1 V0`` and ``initial_env`` is
-        ``V0^H`` applied to basis state 0, the start of a quench walk.
-
-        Two ``d_e x d_e`` products, no ``eigh``; with the two eigenbases at most
-        five ``d_e x d_e`` arrays are alive at once.  ``W = V0^H V1`` is conjugated
-        in place for the second product, which reads it in the same layout as
-        ``_from_eigensystem(phases1, W)`` would, so e1 is the same to the bit."""
-        phases0, basis0 = self.e0_eigen
-        phases1, basis1 = self.e1_eigen
-        w = basis0.conj().T @ basis1
-        scaled = w * phases1
-        np.conjugate(w, out=w)
-        return phases0, scaled @ w.T, basis0[0].conj()
-
 
 def sample_environment_pair(d_e: int, spread: float, rng: np.random.Generator) -> EnvironmentPair:
     """Draw the two branch unitaries of a nonlocal environment.
 
     ``e0, e1 = sample_environment_pair(...)`` gives them dense;
-    ``in_e0_eigenbasis()`` gives them in the eigenbasis of e0.
+    ``e0_eigen`` and ``e1_eigen`` give their eigensystems.
     """
     e0_eigen = _exp_eigensystem(sample_hermitian(d_e, spread, rng))
     return EnvironmentPair(e0_eigen, _exp_eigensystem(sample_hermitian(d_e, spread, rng)))

@@ -10,8 +10,8 @@ from ringwalk import (
     classical_mixing_time,
     classical_series,
     position_mixedness,
-    spectral_mixing_time,
 )
+from ringwalk.classical import spectral_mixing_time
 from oracles import classical_step, classical_transition_matrix, shannon_entropy
 
 

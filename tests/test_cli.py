@@ -11,7 +11,10 @@ from ringwalk import (
     HADAMARD,
     PLUS_I_COIN,
     NonlocalTemplate,
+    PlateauSummary,
+    __version__,
     _blas,
+    cli,
     classical_mixing_time,
     plateau_summary,
     quench_average,
@@ -201,6 +204,27 @@ class TestSaturationSweep:
         manifest = json.loads((tmp_path / "sat.manifest.json").read_text())
         assert [p["blas_threads"] for p in manifest["points"]] == [ONE_THREAD] * 4
         assert [p["bath_basis"] for p in manifest["points"]] == ["e0 eigenbasis"] * 4
+
+    def test_fit_json_holds_the_power_law_and_its_provenance(self, tmp_path, monkeypatch):
+        # Plateau levels 0.4 r^-0.5 at ratios 2, 4, 8 and 16, in place of the quench points.
+        def sweep(p, grid):
+            levels = [0.4 * (2 * d_e / d_s) ** -0.5 for d_s, d_e in grid]
+            return [PlateauSummary(0, d, 0.0, 0.0) for d in levels], [{} for _ in grid]
+
+        monkeypatch.setattr(cli, "_sweep", sweep)
+        out = tmp_path / "sat.csv"
+        assert run(
+            "saturation-sweep", "--sites-list", 5, "--env-dims", "5,10,20,40",
+            "--steps", 60, "--seed", 1, "--output", out,
+        ) == 0
+        doc = json.loads((tmp_path / "sat.fit.json").read_text())
+        parameters = json.loads((tmp_path / "sat.manifest.json").read_text())["parameters"]
+        assert set(doc) == {"params", "std_errors", "window", "residual_rms", "provenance"}
+        assert doc["params"]["x"] == pytest.approx(0.5, abs=1e-9)
+        assert doc["window"] == [2.0, 4.0, 8.0, 16.0]
+        assert doc["provenance"] == {
+            "command": "saturation-sweep", "parameters": parameters, "version": __version__,
+        }
 
     def test_points_record_the_fit_window_or_its_error(self, tmp_path):
         out = tmp_path / "sat.csv"

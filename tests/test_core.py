@@ -18,12 +18,10 @@ from ringwalk import (
     rng_stream,
     sample_environment_pair,
     step,
-    step_local,
-    step_nonlocal,
     walk_series,
     write_snapshot,
 )
-from ringwalk.core import _local_step_plan
+from ringwalk.core import _local_step_plan, step_local, step_nonlocal
 from oracles import (
     dense_local_step,
     dense_nonlocal_step,

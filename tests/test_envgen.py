@@ -14,13 +14,12 @@ from ringwalk import (
     load_environment,
     make_local_gate,
     matrix_from_json,
-    matrix_to_json,
     rng_stream,
     sample_environment_pair,
-    sample_hermitian,
     save_environment,
 )
 from ringwalk import envgen
+from ringwalk.envgen import matrix_to_json, sample_hermitian
 from oracles import exponentiate_hermitian, taylor_expm_neg_i
 
 
@@ -193,16 +192,6 @@ class TestCommutatorNorm:
             assert np.array_equal(dense, (basis * phases) @ basis.conj().T)
             assert np.abs(np.abs(phases) - 1.0).max() < 1e-15
             assert np.abs(basis.conj().T @ basis - np.eye(5)).max() < 1e-13
-
-    def test_pair_in_the_eigenbasis_of_e0(self):
-        pair = sample_environment_pair(6, 1.0, rng_stream(18))
-        e0, e1 = pair
-        phases, e1_rotated, initial_env = pair.in_e0_eigenbasis()
-        back = pair.e0_eigen[1]
-        to_basis = back.conj().T
-        assert np.abs(back @ np.diag(phases) @ to_basis - e0).max() < 1e-13
-        assert np.abs(back @ e1_rotated @ to_basis - e1).max() < 1e-13
-        assert np.array_equal(initial_env, to_basis @ np.eye(6)[0])
 
     def test_conjugation_invariance(self):
         rng = rng_stream(15)
