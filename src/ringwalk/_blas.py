@@ -39,9 +39,8 @@ def _controls():
 
 
 @contextlib.contextmanager
-def limited(threads: int | None):
-    """Run the block at ``threads`` BLAS threads, or at the current count if
-    ``threads`` is None; restore the previous count afterwards.
+def limited(threads: int):
+    """Run the block at ``threads`` BLAS threads; restore the previous count afterwards.
 
     Yields the count in effect inside the block, None where it is unknown.
     The count is process-wide, so BLAS calls made meanwhile from other
@@ -53,9 +52,6 @@ def limited(threads: int | None):
         return
     getter, setter = controls
     previous = int(getter())
-    if threads is None:
-        yield previous
-        return
     setter(threads)
     try:
         yield threads

@@ -8,7 +8,9 @@ squares on logs; the fit window is selected by a deterministic rule that
 skips the ballistic transient and stops before the plateau.
 """
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +70,12 @@ class FitResult:
     residual_rms: float
 
 
-def walk_series(model: WalkModel, steps: int) -> ObservableSeries:
-    """Evolve and record distance-to-uniform and entropy at every step."""
+def walk_series(model: WalkModel, steps: int, *, overlap: bool = False) -> ObservableSeries:
+    """Evolve and record distance-to-uniform and entropy at every step.
+
+    With ``overlap`` state t is observed on a helper thread while this thread
+    takes step t + 1 (``_one_behind``); the same calls give the same records.
+    """
     _check_steps(steps)
     n = steps + 1
     d_omega = np.empty(n, dtype=np.float64)
@@ -78,8 +84,67 @@ def walk_series(model: WalkModel, steps: int) -> ObservableSeries:
     def record(t, state):
         d_omega[t], entropy[t] = position_mixedness(state)
 
-    evolve(model, steps, record)
+    if overlap:
+        with _one_behind(record) as lagged:
+            evolve(model, steps, lagged)
+    else:
+        evolve(model, steps, record)
     return ObservableSeries(np.arange(n), d_omega, entropy, model.describe())
+
+
+@contextlib.contextmanager
+def _one_behind(observer):
+    """Yield an observer that hands each ``(t, state)`` to ``observer`` on a helper
+    thread and returns at once, so that the caller's next step overlaps the call.
+
+    At most one call is in flight: each hand-off first waits for the previous
+    call and re-raises its error in the caller's thread, and so does the end of
+    the block.  The helper is joined when the block exits, also on an error.
+    """
+    posted, done = threading.Lock(), threading.Lock()  # released: a job posted, done
+    posted.acquire()
+    done.acquire()
+    job, errors = [None], []  # job[0] is None when the helper is to stop
+    in_flight = False
+
+    def helper():
+        while True:
+            posted.acquire()
+            args = job[0]
+            if args is None:
+                return
+            try:
+                observer(*args)
+            except BaseException as exc:  # any error: `done` must still be released
+                errors.append(exc)
+            done.release()
+
+    def settle():
+        nonlocal in_flight
+        if in_flight:
+            done.acquire()
+            in_flight = False
+        if errors:
+            raise errors[0]
+
+    def lagged(t, state):
+        nonlocal in_flight
+        settle()
+        job[0] = (t, state)
+        in_flight = True
+        posted.release()
+
+    thread = threading.Thread(target=helper, name="ringwalk-observer", daemon=True)
+    thread.start()
+    try:
+        yield lagged
+        settle()
+    finally:
+        if in_flight:  # the block raised while a call was running
+            done.acquire()
+        job[0] = None
+        posted.release()
+        thread.join()
 
 
 def select_fit_window(series: ObservableSeries) -> tuple[int, int]:
@@ -284,7 +349,8 @@ class NonlocalTemplate:
 class QuenchResult:
     """Pointwise mean series over environment samples, the per-step sample
     standard deviation of the distance, every per-sample series, and the
-    BLAS thread count the samples ran with (None where it is unknown)."""
+    BLAS thread count the samples ran with: 1, or None where numpy's BLAS
+    has no OpenBLAS thread controls."""
 
     mean: ObservableSeries
     d_omega_std: np.ndarray
@@ -292,20 +358,25 @@ class QuenchResult:
     blas_threads: int | None = None
 
 
-#: Quench points with ``d_e`` up to this run at one BLAS thread.  Up to it a
-#: second thread made no sample faster (11x64 to 151x64 on a 2-vCPU VM), and
-#: the idle worker spin-waits on another core.  With one dense product per
-#: step, one thread took 0.87-1.07x the two-thread wall time of a 500-step
-#: sample at 51x96 and 1.11-1.43x at 51x320 (medians of 5 and 9 alternating
-#: pairs, two runs each, on that VM): threads start to pay above ``d_e = 96``.
-ONE_BLAS_THREAD_MAX_D_E = 64
+#: Quench points with ``d_e`` up to this observe each state in the walk's own
+#: thread; larger ones observe it on a helper thread, one state behind the
+#: walk (``walk_series(..., overlap=True)``).  The step's product and the
+#: observer's Gram product release the GIL and ``eigvalsh`` holds it, and a
+#: hand-off costs ~50 us, so the overlap pays only where both are long.  At one
+#: BLAS thread on a 2-vCPU VM (medians of 9-13 alternating runs), overlapped
+#: per serial step time was 1.17-1.28 at 51x80, 0.89-0.91 at 51x96, 0.79 at
+#: 51x128, 0.62 at 51x144 and 0.93 at 31x112; at d_s <= 19 it stayed above 1
+#: up to d_e = 256 (1.10 at 19x256, 1.04-1.12 at 11x224).
+SERIAL_OBSERVER_MAX_D_E = 96
 
 
 def _quench_sample(template: NonlocalTemplate, path, k: int, steps: int) -> ObservableSeries:
     """Sample k of a quench: the model drawn from the stream (*path, k), walked ``steps``
-    steps, with its ``seed_path`` recorded; any failure raises ``QuenchSampleError(k)``."""
+    steps, with its ``seed_path`` recorded; any failure raises ``QuenchSampleError(k)``.
+    Above ``SERIAL_OBSERVER_MAX_D_E`` the walk overlaps its observer."""
+    overlap = template.d_e > SERIAL_OBSERVER_MAX_D_E
     try:
-        series = walk_series(template.realize(*path, k), steps)
+        series = walk_series(template.realize(*path, k), steps, overlap=overlap)
     except Exception as exc:
         raise QuenchSampleError(k, str(exc)) from exc
     series.metadata["seed_path"] = [*path, k]
@@ -325,15 +396,17 @@ def quench_average(
     ``base_seed`` may be an int or a (seed, *path) tuple so sweeps can give
     every parameter point its own stream family.  Samples are ``_quench_sample``
     jobs, run and combined in index order, so the aggregate is deterministic.
-    A point with ``d_e <= ONE_BLAS_THREAD_MAX_D_E`` draws and runs its samples
-    at one BLAS thread; the caller's count is restored afterwards.
+    Every sample is drawn and run at one BLAS thread, so its bytes depend on
+    no core count; the caller's count is restored afterwards.  Above
+    ``SERIAL_OBSERVER_MAX_D_E`` a sample's observer runs one state behind its
+    walk on a second thread, joined before the sample returns.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")
     path = (int(base_seed),) if np.isscalar(base_seed) else tuple(int(p) for p in base_seed)
     if any(p < 0 for p in path):
         raise ConfigurationError(f"seed path entries must be >= 0, got {list(path)}")
-    with _blas.limited(1 if template.d_e <= ONE_BLAS_THREAD_MAX_D_E else None) as threads:
+    with _blas.limited(1) as threads:
         samples = [_quench_sample(template, path, k, steps) for k in range(n_samples)]
 
     d_stack = np.stack([s.d_omega for s in samples])

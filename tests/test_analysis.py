@@ -1,6 +1,8 @@
 import json
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from ringwalk import (
     select_fit_window,
     walk_series,
 )
-from ringwalk import _blas, analysis
+from ringwalk import _blas, analysis, core
 from ringwalk.cli import main
 
 
@@ -439,14 +441,14 @@ def two_blas_threads():
 
 
 class TestQuenchBlasThreads:
-    SMALL = analysis.ONE_BLAS_THREAD_MAX_D_E
+    SMALL = analysis.SERIAL_OBSERVER_MAX_D_E
 
     def _record_threads(self, monkeypatch, getter):
         seen = []
 
-        def recording(model, steps):
-            seen.append(getter())
-            return walk_series(model, steps)
+        def recording(model, steps, *, overlap=False):
+            seen.append((getter(), overlap))
+            return walk_series(model, steps, overlap=overlap)
 
         monkeypatch.setattr(analysis, "walk_series", recording)
         return seen
@@ -454,15 +456,37 @@ class TestQuenchBlasThreads:
     def test_below_rule_runs_at_one_thread(self, monkeypatch, two_blas_threads):
         seen = self._record_threads(monkeypatch, two_blas_threads)
         result = quench_average(NonlocalTemplate(d_s=5, d_e=self.SMALL), 2, 1, 10)
-        assert seen == [1, 1]
+        assert seen == [(1, False), (1, False)]
         assert result.blas_threads == 1
         assert two_blas_threads() == 2
 
-    def test_above_rule_keeps_callers_count(self, monkeypatch, two_blas_threads):
+    def test_above_rule_overlaps_at_one_thread(self, monkeypatch, two_blas_threads):
         seen = self._record_threads(monkeypatch, two_blas_threads)
         result = quench_average(NonlocalTemplate(d_s=3, d_e=self.SMALL + 1), 1, 1, 5)
-        assert seen == [2]
-        assert result.blas_threads == 2
+        assert seen == [(1, True)]
+        assert result.blas_threads == 1
+        assert two_blas_threads() == 2
+
+    def test_step_and_observer_see_one_thread(self, monkeypatch, two_blas_threads):
+        seen = {"step": set(), "observer": set()}
+
+        def recorded(role, fn):
+            def wrapped(*args):
+                seen[role].add((two_blas_threads(), threading.get_ident()))
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(core, "step", recorded("step", core.step))
+        monkeypatch.setattr(
+            analysis, "position_mixedness", recorded("observer", analysis.position_mixedness)
+        )
+        monkeypatch.setattr(analysis, "SERIAL_OBSERVER_MAX_D_E", 0)
+        quench_average(NonlocalTemplate(d_s=5, d_e=3), 2, 1, 20)
+        assert {threads for threads, _ in seen["step"] | seen["observer"]} == {1}
+        assert {ident for _, ident in seen["step"]} == {threading.get_ident()}
+        assert threading.get_ident() not in {ident for _, ident in seen["observer"]}
+        assert two_blas_threads() == 2
 
     def test_count_restored_after_failed_sample(self, two_blas_threads):
         template = NonlocalTemplate(d_s=5, d_e=2, spread=1e308)
@@ -480,16 +504,90 @@ class TestQuenchBlasThreads:
         assert np.array_equal(result.mean.entropy, expected.mean.entropy)
         assert np.array_equal(result.d_omega_std, expected.d_omega_std)
 
-    def test_below_rule_csv_same_at_callers_count(self, tmp_path, monkeypatch, two_blas_threads):
+    def test_below_rule_csv_same_when_overlap_forced(self, tmp_path, monkeypatch, two_blas_threads):
         argv = ["simulate", "--model", "nonlocal", "--sites", "51", "--env-dim", "32",
                 "--samples", "2", "--steps", "100", "--seed", "4"]
-        assert main([*argv, "--output", str(tmp_path / "one.csv")]) == 0
-        monkeypatch.setattr(analysis, "ONE_BLAS_THREAD_MAX_D_E", 0)
-        assert main([*argv, "--output", str(tmp_path / "two.csv")]) == 0
+        assert main([*argv, "--output", str(tmp_path / "serial.csv")]) == 0
+        monkeypatch.setattr(analysis, "SERIAL_OBSERVER_MAX_D_E", 0)
+        assert main([*argv, "--output", str(tmp_path / "overlap.csv")]) == 0
         manifests = [json.loads((tmp_path / f"{n}.manifest.json").read_text())
-                     for n in ("one", "two")]
-        assert [m["blas_threads"] for m in manifests] == [1, 2]
-        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+                     for n in ("serial", "overlap")]
+        assert [m["blas_threads"] for m in manifests] == [1, 1]
+        assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "overlap.csv").read_bytes()
+
+
+class TestOverlappedObserver:
+    """Above ``SERIAL_OBSERVER_MAX_D_E`` a sample observes state t on a helper
+    thread while its walk takes step t + 1."""
+
+    @staticmethod
+    def _quench(monkeypatch, template, overlap, *args):
+        monkeypatch.setattr(
+            analysis, "SERIAL_OBSERVER_MAX_D_E", -1 if overlap else template.d_e
+        )
+        return quench_average(template, *args)
+
+    @pytest.mark.parametrize(
+        "d_s, d_e, samples, steps",
+        [(7, 4, 3, 60), (11, analysis.SERIAL_OBSERVER_MAX_D_E + 16, 1, 30)],
+        ids=["forced", "above-rule"],
+    )
+    def test_series_equal_serial_at_one_thread(self, monkeypatch, d_s, d_e, samples, steps):
+        template = NonlocalTemplate(d_s=d_s, d_e=d_e)
+        serial = self._quench(monkeypatch, template, False, samples, 9, steps)
+        overlapped = self._quench(monkeypatch, template, True, samples, 9, steps)
+        for a, b in zip(serial.samples, overlapped.samples, strict=True):
+            assert np.array_equal(a.d_omega, b.d_omega)
+            assert np.array_equal(a.entropy, b.entropy)
+        assert np.array_equal(serial.d_omega_std, overlapped.d_omega_std)
+
+    @pytest.mark.parametrize("failing", ["observer", "step"])
+    def test_error_mid_run_names_sample_and_joins_helper(self, monkeypatch, failing):
+        steps, calls = 20, [0]
+        target, name = (analysis, "position_mixedness") if failing == "observer" else (core, "step")
+        real = getattr(target, name)
+
+        def fails_in_sample_1(*args):
+            calls[0] += 1
+            if calls[0] == steps + 8:  # mid-run in the second sample
+                raise FloatingPointError("injected")
+            return real(*args)
+
+        monkeypatch.setattr(target, name, fails_in_sample_1)
+        before = threading.enumerate()
+        with pytest.raises(QuenchSampleError, match="injected") as err:
+            self._quench(monkeypatch, NonlocalTemplate(d_s=5, d_e=3), True, 3, 2, steps)
+        assert err.value.sample_index == 1
+        assert threading.enumerate() == before
+
+    def test_stress_at_a_short_switch_interval(self, monkeypatch):
+        # Thread switches between nearly every bytecode: a lost or misplaced write
+        # would leave a record unequal to the serial one, and a lost hand-off hangs.
+        template, steps = NonlocalTemplate(d_s=5, d_e=3), 300
+        serial = self._quench(monkeypatch, template, False, 4, 6, steps)
+        order, real = [], analysis.position_mixedness
+
+        def observed(state):
+            order.append(threading.get_ident())
+            return real(state)
+
+        monkeypatch.setattr(analysis, "position_mixedness", observed)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(
+                target=lambda: results.append(self._quench(monkeypatch, template, True, 4, 6, steps))
+            )
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(order) == 4 * (steps + 1) and runner.ident not in order
+        for a, b in zip(serial.samples, results[0].samples, strict=True):
+            assert np.array_equal(a.d_omega, b.d_omega)
+            assert np.array_equal(a.entropy, b.entropy)
 
 
 class TestWalkSeries:
