@@ -70,11 +70,13 @@ class FitResult:
     residual_rms: float
 
 
-def walk_series(model: WalkModel, steps: int, *, overlap: bool = False) -> ObservableSeries:
+def walk_series(model: WalkModel, steps: int) -> ObservableSeries:
     """Evolve and record distance-to-uniform and entropy at every step.
 
-    With ``overlap`` state t is observed on a helper thread while this thread
-    takes step t + 1 (``_one_behind``); the same calls give the same records.
+    The walk runs at one BLAS thread, and the caller's count is restored
+    afterwards, so its bytes depend on no core count.  Where ``_overlaps(model)``
+    state t is observed on a helper thread while this thread takes step t + 1
+    (``_one_behind``); the same calls give the same records.
     """
     _check_steps(steps)
     n = steps + 1
@@ -84,12 +86,32 @@ def walk_series(model: WalkModel, steps: int, *, overlap: bool = False) -> Obser
     def record(t, state):
         d_omega[t], entropy[t] = position_mixedness(state)
 
-    if overlap:
-        with _one_behind(record) as lagged:
-            evolve(model, steps, lagged)
-    else:
-        evolve(model, steps, record)
+    observing = _one_behind(record) if _overlaps(model) else contextlib.nullcontext(record)
+    with _blas.limited(1), observing as observer:
+        evolve(model, steps, observer)
     return ObservableSeries(np.arange(n), d_omega, entropy, model.describe())
+
+
+#: Nonlocal walks with ``d_e`` above this and ``d_s`` above the next constant
+#: observe state t on a helper thread while the walk takes step t + 1
+#: (``_one_behind``); the rest observe in the walk's own thread.  Every call
+#: releases the GIL, but winning it back after each short call and the ~50 us
+#: hand-off cost more than the overlap saves unless step and observer are both
+#: long.  Overlapped per serial step time at one BLAS thread on a 2-vCPU VM
+#: (medians of 9-13 alternating runs): 1.17-1.28 at 51x80, 0.89-0.91 at 51x96,
+#: 0.79 at 51x128, 0.62 at 51x144, 0.93 at 31x112.
+SERIAL_OBSERVER_MAX_D_E = 96
+#: Overlapped per serial step time, same VM (medians of 10 alternating runs,
+#: in two or three batches): the observer is too short at d_s <= 19 (19x128
+#: 0.97-1.10, 19x256 1.07-1.58, 11x224 1.14-1.81) and long enough at d_s = 31
+#: (31x112 0.73-0.84, 31x192 0.64-0.84).
+SERIAL_OBSERVER_MAX_D_S = 19
+
+
+def _overlaps(model: WalkModel) -> bool:
+    """Whether ``walk_series`` observes ``model``'s states one behind its walk."""
+    large = model.d_s > SERIAL_OBSERVER_MAX_D_S and model.d_e > SERIAL_OBSERVER_MAX_D_E
+    return isinstance(model.environment, NonlocalEnvironment) and large
 
 
 @contextlib.contextmanager
@@ -98,41 +120,31 @@ def _one_behind(observer):
     thread and returns at once, so that the caller's next step overlaps the call.
 
     At most one call is in flight: each hand-off first waits for the previous
-    call and re-raises its error in the caller's thread, and so does the end of
-    the block.  The helper is joined when the block exits, also on an error.
+    call's result and re-raises its error in the caller's thread, and so does
+    the end of the block.  The helper is joined when the block exits, also on
+    an error.
     """
-    posted, done = threading.Lock(), threading.Lock()  # released: a job posted, done
-    posted.acquire()
-    done.acquire()
-    job, errors = [None], []  # job[0] is None when the helper is to stop
-    in_flight = False
+    import queue  # here, not at package load: numpy does not load it
+
+    jobs, results = queue.SimpleQueue(), queue.SimpleQueue()
+    results.put(None)  # the result of "no call yet"
 
     def helper():
-        while True:
-            posted.acquire()
-            args = job[0]
-            if args is None:
-                return
+        while (args := jobs.get()) is not None:  # None: the block has exited
+            error = None
             try:
                 observer(*args)
-            except BaseException as exc:  # any error: `done` must still be released
-                errors.append(exc)
-            done.release()
+            except BaseException as exc:  # any error: the walk must still get a result
+                error = exc
+            results.put(error)
 
     def settle():
-        nonlocal in_flight
-        if in_flight:
-            done.acquire()
-            in_flight = False
-        if errors:
-            raise errors[0]
+        if (error := results.get()) is not None:
+            raise error
 
     def lagged(t, state):
-        nonlocal in_flight
         settle()
-        job[0] = (t, state)
-        in_flight = True
-        posted.release()
+        jobs.put((t, state))
 
     thread = threading.Thread(target=helper, name="ringwalk-observer", daemon=True)
     thread.start()
@@ -140,10 +152,7 @@ def _one_behind(observer):
         yield lagged
         settle()
     finally:
-        if in_flight:  # the block raised while a call was running
-            done.acquire()
-        job[0] = None
-        posted.release()
+        jobs.put(None)
         thread.join()
 
 
@@ -349,8 +358,8 @@ class NonlocalTemplate:
 class QuenchResult:
     """Pointwise mean series over environment samples, the per-step sample
     standard deviation of the distance, every per-sample series, and the
-    BLAS thread count the samples ran with: 1, or None where numpy's BLAS
-    has no OpenBLAS thread controls."""
+    BLAS thread count the samples were drawn and walked with: 1, as for every
+    ``walk_series``, or None where numpy's BLAS has no OpenBLAS thread controls."""
 
     mean: ObservableSeries
     d_omega_std: np.ndarray
@@ -358,25 +367,11 @@ class QuenchResult:
     blas_threads: int | None = None
 
 
-#: Quench points with ``d_e`` up to this observe each state in the walk's own
-#: thread; larger ones observe it on a helper thread, one state behind the
-#: walk (``walk_series(..., overlap=True)``).  The step's product and the
-#: observer's Gram product release the GIL and ``eigvalsh`` holds it, and a
-#: hand-off costs ~50 us, so the overlap pays only where both are long.  At one
-#: BLAS thread on a 2-vCPU VM (medians of 9-13 alternating runs), overlapped
-#: per serial step time was 1.17-1.28 at 51x80, 0.89-0.91 at 51x96, 0.79 at
-#: 51x128, 0.62 at 51x144 and 0.93 at 31x112; at d_s <= 19 it stayed above 1
-#: up to d_e = 256 (1.10 at 19x256, 1.04-1.12 at 11x224).
-SERIAL_OBSERVER_MAX_D_E = 96
-
-
 def _quench_sample(template: NonlocalTemplate, path, k: int, steps: int) -> ObservableSeries:
     """Sample k of a quench: the model drawn from the stream (*path, k), walked ``steps``
-    steps, with its ``seed_path`` recorded; any failure raises ``QuenchSampleError(k)``.
-    Above ``SERIAL_OBSERVER_MAX_D_E`` the walk overlaps its observer."""
-    overlap = template.d_e > SERIAL_OBSERVER_MAX_D_E
+    steps, with its ``seed_path`` recorded; any failure raises ``QuenchSampleError(k)``."""
     try:
-        series = walk_series(template.realize(*path, k), steps, overlap=overlap)
+        series = walk_series(template.realize(*path, k), steps)
     except Exception as exc:
         raise QuenchSampleError(k, str(exc)) from exc
     series.metadata["seed_path"] = [*path, k]
@@ -396,10 +391,11 @@ def quench_average(
     ``base_seed`` may be an int or a (seed, *path) tuple so sweeps can give
     every parameter point its own stream family.  Samples are ``_quench_sample``
     jobs, run and combined in index order, so the aggregate is deterministic.
-    Every sample is drawn and run at one BLAS thread, so its bytes depend on
-    no core count; the caller's count is restored afterwards.  Above
-    ``SERIAL_OBSERVER_MAX_D_E`` a sample's observer runs one state behind its
-    walk on a second thread, joined before the sample returns.
+    Every sample is drawn at one BLAS thread, and walked at one by
+    ``walk_series``, so its bytes depend on no core count; the caller's count
+    is restored afterwards.  Where ``walk_series`` overlaps (a large enough
+    ``d_s`` and ``d_e``), a sample's observer runs one state behind its walk
+    on a second thread, joined before the sample returns.
     """
     if n_samples < 1:
         raise ConfigurationError(f"n_samples must be >= 1, got {n_samples}")

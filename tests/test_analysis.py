@@ -11,9 +11,12 @@ from ringwalk import (
     ConfigurationError,
     DomainError,
     FitWindowError,
+    LocalEnvironment,
+    NonlocalEnvironment,
     NonlocalTemplate,
     ObservableSeries,
     QuenchSampleError,
+    WalkModel,
     default_average_start,
     fit_exponential_mixing,
     fit_power_law,
@@ -440,15 +443,40 @@ def two_blas_threads():
         yield _blas._controls()[0]
 
 
+def force_overlap(monkeypatch, overlap=True, model=None):
+    """Set both size rules so that every nonlocal walk overlaps, or so that
+    ``model``'s walk stays serial."""
+    monkeypatch.setattr(analysis, "SERIAL_OBSERVER_MAX_D_S", -1 if overlap else model.d_s)
+    monkeypatch.setattr(analysis, "SERIAL_OBSERVER_MAX_D_E", -1 if overlap else model.d_e)
+
+
+def record_calls(monkeypatch, getter):
+    """Record the BLAS thread count and the thread of every step and observer call."""
+    seen = {"step": set(), "observer": set()}
+
+    def recorded(role, fn):
+        def wrapped(*args):
+            seen[role].add((getter(), threading.get_ident()))
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(core, "step", recorded("step", core.step))
+    monkeypatch.setattr(
+        analysis, "position_mixedness", recorded("observer", analysis.position_mixedness)
+    )
+    return seen
+
+
 class TestQuenchBlasThreads:
     SMALL = analysis.SERIAL_OBSERVER_MAX_D_E
 
     def _record_threads(self, monkeypatch, getter):
         seen = []
 
-        def recording(model, steps, *, overlap=False):
-            seen.append((getter(), overlap))
-            return walk_series(model, steps, overlap=overlap)
+        def recording(model, steps):
+            seen.append((getter(), analysis._overlaps(model)))
+            return walk_series(model, steps)
 
         monkeypatch.setattr(analysis, "walk_series", recording)
         return seen
@@ -462,26 +490,15 @@ class TestQuenchBlasThreads:
 
     def test_above_rule_overlaps_at_one_thread(self, monkeypatch, two_blas_threads):
         seen = self._record_threads(monkeypatch, two_blas_threads)
-        result = quench_average(NonlocalTemplate(d_s=3, d_e=self.SMALL + 1), 1, 1, 5)
+        d_s = (analysis.SERIAL_OBSERVER_MAX_D_S + 1) | 1  # the smallest odd ring above
+        result = quench_average(NonlocalTemplate(d_s=d_s, d_e=self.SMALL + 1), 1, 1, 5)
         assert seen == [(1, True)]
         assert result.blas_threads == 1
         assert two_blas_threads() == 2
 
     def test_step_and_observer_see_one_thread(self, monkeypatch, two_blas_threads):
-        seen = {"step": set(), "observer": set()}
-
-        def recorded(role, fn):
-            def wrapped(*args):
-                seen[role].add((two_blas_threads(), threading.get_ident()))
-                return fn(*args)
-
-            return wrapped
-
-        monkeypatch.setattr(core, "step", recorded("step", core.step))
-        monkeypatch.setattr(
-            analysis, "position_mixedness", recorded("observer", analysis.position_mixedness)
-        )
-        monkeypatch.setattr(analysis, "SERIAL_OBSERVER_MAX_D_E", 0)
+        seen = record_calls(monkeypatch, two_blas_threads)
+        force_overlap(monkeypatch)
         quench_average(NonlocalTemplate(d_s=5, d_e=3), 2, 1, 20)
         assert {threads for threads, _ in seen["step"] | seen["observer"]} == {1}
         assert {ident for _, ident in seen["step"]} == {threading.get_ident()}
@@ -508,7 +525,7 @@ class TestQuenchBlasThreads:
         argv = ["simulate", "--model", "nonlocal", "--sites", "51", "--env-dim", "32",
                 "--samples", "2", "--steps", "100", "--seed", "4"]
         assert main([*argv, "--output", str(tmp_path / "serial.csv")]) == 0
-        monkeypatch.setattr(analysis, "SERIAL_OBSERVER_MAX_D_E", 0)
+        force_overlap(monkeypatch)
         assert main([*argv, "--output", str(tmp_path / "overlap.csv")]) == 0
         manifests = [json.loads((tmp_path / f"{n}.manifest.json").read_text())
                      for n in ("serial", "overlap")]
@@ -517,19 +534,17 @@ class TestQuenchBlasThreads:
 
 
 class TestOverlappedObserver:
-    """Above ``SERIAL_OBSERVER_MAX_D_E`` a sample observes state t on a helper
-    thread while its walk takes step t + 1."""
+    """Above ``SERIAL_OBSERVER_MAX_D_S`` and ``SERIAL_OBSERVER_MAX_D_E`` a sample
+    observes state t on a helper thread while its walk takes step t + 1."""
 
     @staticmethod
     def _quench(monkeypatch, template, overlap, *args):
-        monkeypatch.setattr(
-            analysis, "SERIAL_OBSERVER_MAX_D_E", -1 if overlap else template.d_e
-        )
+        force_overlap(monkeypatch, overlap, template)
         return quench_average(template, *args)
 
     @pytest.mark.parametrize(
         "d_s, d_e, samples, steps",
-        [(7, 4, 3, 60), (11, analysis.SERIAL_OBSERVER_MAX_D_E + 16, 1, 30)],
+        [(7, 4, 3, 60), (31, analysis.SERIAL_OBSERVER_MAX_D_E + 16, 1, 30)],
         ids=["forced", "above-rule"],
     )
     def test_series_equal_serial_at_one_thread(self, monkeypatch, d_s, d_e, samples, steps):
@@ -588,6 +603,38 @@ class TestOverlappedObserver:
         for a, b in zip(serial.samples, results[0].samples, strict=True):
             assert np.array_equal(a.d_omega, b.d_omega)
             assert np.array_equal(a.entropy, b.entropy)
+
+
+class TestWalkThreadPolicy:
+    """``walk_series`` decides a walk's thread policy from its model alone."""
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "overlapped"])
+    def test_direct_walk_at_one_thread(self, monkeypatch, two_blas_threads, overlap):
+        model = NonlocalTemplate(d_s=5, d_e=3).realize(7, 0)
+        force_overlap(monkeypatch, overlap, model)
+        seen = record_calls(monkeypatch, two_blas_threads)
+        walk_series(model, 20)
+        assert {threads for threads, _ in seen["step"] | seen["observer"]} == {1}
+        observers = {ident for _, ident in seen["observer"]}
+        assert (threading.get_ident() not in observers) == overlap
+        assert two_blas_threads() == 2
+
+    @pytest.mark.parametrize(
+        "d_s, d_e, overlaps",
+        [(11, 224, False), (19, 256, False), (9, None, False), (31, 112, True), (51, 320, True)],
+        ids=["11x224", "19x256", "local", "31x112", "51x320"],
+    )
+    def test_rule_sides(self, d_s, d_e, overlaps):
+        if d_e is None:
+            environment = LocalEnvironment(np.eye(2), np.eye(2))
+        else:
+            environment = NonlocalEnvironment(np.ones(d_e), np.ones(d_e))
+        assert analysis._overlaps(WalkModel(d_s, environment)) == overlaps
+
+    def test_local_walk_never_overlaps(self, monkeypatch):
+        force_overlap(monkeypatch)
+        model = WalkModel(9, LocalEnvironment(np.eye(2), np.eye(2)))
+        assert not analysis._overlaps(model)
 
 
 class TestWalkSeries:
